@@ -11,9 +11,14 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <thread>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+
+#ifndef PIA_BENCH_BUILD_TYPE
+#define PIA_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace pia::bench {
 
@@ -53,7 +58,12 @@ inline double timed(const std::function<void()>& fn) {
 /// on destruction, so a bench cannot forget to emit its record.
 class JsonReport {
  public:
-  explicit JsonReport(std::string name) : name_(std::move(name)) {}
+  /// Every record starts stamped with its host: core count and build type.
+  explicit JsonReport(std::string name) : name_(std::move(name)) {
+    metric("host_nproc",
+           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    text("host_build_type", PIA_BENCH_BUILD_TYPE);
+  }
 
   JsonReport(const JsonReport&) = delete;
   JsonReport& operator=(const JsonReport&) = delete;

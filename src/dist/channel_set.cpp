@@ -3,9 +3,6 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <limits>
 
 #include "base/error.hpp"
 
@@ -37,20 +34,17 @@ void ChannelSet::replace_link(ChannelId id, transport::LinkPtr link) {
   endpoint.link().set_ready_signal(signal_);
 }
 
-std::chrono::milliseconds ChannelSet::prepare_wait(
-    std::vector<pollfd>& fds, std::chrono::milliseconds timeout) {
+std::chrono::nanoseconds ChannelSet::prepare_wait(
+    std::vector<pollfd>& fds, std::chrono::nanoseconds timeout) {
   // Frames parked inside fault/latency decorators mature silently: clamp
   // the wait to the earliest reported release so they are picked up on
   // time regardless of how long the caller was willing to sleep.
   const Clock::time_point now = Clock::now();
-  auto wait = std::max(timeout, std::chrono::milliseconds(0));
+  auto wait = std::max(timeout, std::chrono::nanoseconds::zero());
   for (const auto& c : channels_) {
-    if (const auto due = c->link().next_ready_time()) {
-      const auto remaining =
-          std::chrono::ceil<std::chrono::milliseconds>(*due - now);
-      wait = std::min(wait,
-                      std::max(remaining, std::chrono::milliseconds(0)));
-    }
+    if (const auto due = c->link().next_ready_time())
+      wait = std::min(wait, std::max(std::chrono::nanoseconds(*due - now),
+                                     std::chrono::nanoseconds::zero()));
   }
 
   // Drain stale pulses BEFORE building the poll set: a pulse racing in
@@ -62,7 +56,7 @@ std::chrono::milliseconds ChannelSet::prepare_wait(
   // it silently would stall that frame for the full idle timeout.  Clamp
   // the wait to zero so the caller re-inspects at once; at worst the frame
   // was already consumed and the caller pays one empty re-slice.
-  if (signal_->drain()) wait = std::chrono::milliseconds(0);
+  if (signal_->drain()) wait = std::chrono::nanoseconds::zero();
 
   fds.push_back(pollfd{.fd = signal_->fd(), .events = POLLIN, .revents = 0});
   for (const auto& c : channels_) {
@@ -73,36 +67,15 @@ std::chrono::milliseconds ChannelSet::prepare_wait(
   return wait;
 }
 
-bool ChannelSet::wait_any(std::chrono::milliseconds timeout) {
+bool ChannelSet::wait_any(std::chrono::nanoseconds timeout) {
   // Allocating the poll set per call is fine: this is the idle path.
   std::vector<pollfd> fds;
   fds.reserve(channels_.size() + 1);
   const auto wait = prepare_wait(fds, timeout);
-  const bool clamped = wait < timeout;
-
-  const Clock::time_point deadline = Clock::now() + wait;
-  for (;;) {
-    const auto remaining =
-        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
-    const int wait_ms = static_cast<int>(std::clamp<std::int64_t>(
-        remaining.count(), 0, std::numeric_limits<int>::max()));
-    const int pr = ::poll(fds.data(), fds.size(), wait_ms);
-    if (pr < 0) {
-      if (errno == EINTR) {
-        // A signal interrupted the poll.  Reporting that as either a wake
-        // or a timeout would be a lie; retry for whatever wait remains.
-        if (Clock::now() >= deadline) break;
-        continue;
-      }
-      raise(ErrorKind::kTransport,
-            std::string("channel wait poll: ") + std::strerror(errno));
-    }
-    if (pr > 0) return true;
-    break;  // full timeout elapsed
-  }
-  // A clamped timeout that expired is a wake too: the matured frame is now
+  // A clamped timeout that expires is a wake too: the matured frame is now
   // receivable even though no fd fired.
-  return clamped;
+  return transport::poll_until(fds, Clock::now() + wait) > 0 ||
+         wait < timeout;
 }
 
 }  // namespace pia::dist

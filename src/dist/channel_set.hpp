@@ -3,7 +3,9 @@
 // Owning the endpoints in one object lets the subsystem idle on *all* of
 // them at once: every link shares one ReadySignal (in-process queues pulse
 // it) and contributes its kernel fd (sockets), so wait_any() is a single
-// poll() whose wake latency is independent of the channel count.  The old
+// transport::poll_until whose wake latency is independent of the channel
+// count, and whose sleep ends at a decorator's release stamp to the
+// nanosecond rather than at the next whole millisecond.  The old
 // run-loop idle path scanned the channels sequentially with a 1 ms blocking
 // receive each — worst case N × 1 ms before noticing traffic on the last
 // channel.
@@ -58,7 +60,7 @@ class ChannelSet {
   /// true when woken by possible readiness — possibly spuriously; the
   /// caller's next drain pass decides.  False means the full timeout passed
   /// with no wake condition.
-  bool wait_any(std::chrono::milliseconds timeout);
+  bool wait_any(std::chrono::nanoseconds timeout);
 
   /// The fan-in half of wait_any, exposed so a worker pool can sleep on the
   /// channel sets of *several* subsystems in one poll: drains this set's
@@ -68,8 +70,8 @@ class ChannelSet {
   /// below `timeout` therefore means "a buffered frame matures then — treat
   /// its expiry as a wake".  Call order matters: drain before inspect, so a
   /// pulse racing in after this point leaves the fd readable for the poll.
-  std::chrono::milliseconds prepare_wait(std::vector<pollfd>& fds,
-                                         std::chrono::milliseconds timeout);
+  std::chrono::nanoseconds prepare_wait(std::vector<pollfd>& fds,
+                                        std::chrono::nanoseconds timeout);
 
  private:
   std::vector<std::unique_ptr<ChannelEndpoint>> channels_;

@@ -4,13 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -19,7 +16,7 @@
 #include <sched.h>
 #endif
 
-#include "base/error.hpp"
+#include "transport/ready.hpp"
 
 namespace pia::dist {
 namespace {
@@ -190,25 +187,17 @@ class Pool {
   /// a possible wake (fd readiness or a decorator-held frame maturing).
   bool wait_batch(const std::vector<Entry>& batch) {
     std::vector<pollfd> fds;
-    auto wait = std::chrono::milliseconds::max();
+    auto wait = std::chrono::nanoseconds::max();
     bool clamped = false;
     for (const Entry& entry : batch) {
       ChannelSet& channels = entry.subsystem->channel_set();
-      const auto hint = entry.subsystem->idle_wait_hint();
+      const std::chrono::nanoseconds hint = entry.subsystem->idle_wait_hint();
       const auto bounded = channels.prepare_wait(fds, hint);
       clamped |= bounded < hint;
       wait = std::min(wait, bounded);
     }
     if (fds.empty()) return false;
-    const int wait_ms = static_cast<int>(std::clamp<std::int64_t>(
-        wait.count(), 0, std::numeric_limits<int>::max()));
-    const int pr = ::poll(fds.data(), fds.size(), wait_ms);
-    if (pr < 0) {
-      if (errno == EINTR) return true;  // retried as a spurious wake
-      raise(ErrorKind::kTransport,
-            std::string("executor wait poll: ") + std::strerror(errno));
-    }
-    return pr > 0 || clamped;
+    return transport::poll_until(fds, Clock::now() + wait) > 0 || clamped;
   }
 
   const Subsystem::RunConfig config_;

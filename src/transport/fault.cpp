@@ -90,10 +90,11 @@ class FaultLink final : public Link {
     const auto deadline = Clock::now() + timeout;
     for (;;) {
       while (!pending_) {
-        const auto now = Clock::now();
+        // The inner link takes whole milliseconds: round what is left of
+        // the wait up, so the inner wait never ends before `deadline`.
         const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                  now);
+            std::chrono::ceil<std::chrono::milliseconds>(deadline -
+                                                         Clock::now());
         if (remaining.count() <= 0) return std::nullopt;
         auto raw = inner_->recv_for(remaining);
         if (!raw) return std::nullopt;

@@ -7,13 +7,51 @@
 #include <sys/eventfd.h>
 #endif
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "base/error.hpp"
 
 namespace pia::transport {
+
+int poll_until(std::span<pollfd> fds,
+               std::chrono::steady_clock::time_point deadline) {
+  using Clock = std::chrono::steady_clock;
+  for (;;) {
+    const Clock::time_point now = Clock::now();
+    int pr = 0;
+    if (deadline <= now) {
+      // No time left: one non-blocking check.  This is the hot case (every
+      // try_recv on a socket, every zero budget after a drained pulse), and
+      // a plain poll costs less than ppoll for it.
+      pr = ::poll(fds.data(), fds.size(), 0);
+    } else {
+      const std::chrono::nanoseconds remaining = deadline - now;
+#ifdef __linux__
+      const auto secs =
+          std::chrono::duration_cast<std::chrono::seconds>(remaining);
+      const timespec ts{.tv_sec = static_cast<time_t>(secs.count()),
+                        .tv_nsec = static_cast<long>((remaining - secs).count())};
+      pr = ::ppoll(fds.data(), fds.size(), &ts, nullptr);
+#else
+      const auto ms = std::chrono::ceil<std::chrono::milliseconds>(remaining);
+      pr = ::poll(fds.data(), fds.size(),
+                  static_cast<int>(std::min<std::int64_t>(
+                      ms.count(), std::numeric_limits<int>::max())));
+#endif
+    }
+    if (pr > 0) return pr;
+    // A signal is neither a wake nor a timeout: sleep out what remains.
+    if (pr < 0 && errno != EINTR)
+      raise(ErrorKind::kTransport, std::string("poll: ") + std::strerror(errno));
+    // Re-reading the clock makes "0 means the deadline passed" hold whatever
+    // the kernel's timer rounding.
+    if (deadline <= now || Clock::now() >= deadline) return 0;
+  }
+}
 
 #ifdef __linux__
 

@@ -13,11 +13,30 @@
 // syscall.  Elsewhere it falls back to the classic self-pipe.  Either way it
 // composes with ::poll over socket fds, and drain() empties the doorbell
 // before a wait so stale pulses don't cause busy spinning.
+//
+// poll_until is the one sleep every idle path in the library goes through:
+// link receives, the subsystem wait and the pooled executor wait.  It sleeps
+// to a steady-clock deadline at nanosecond resolution (ppoll), because the
+// deadlines it serves are mostly decorator release stamps ~100 µs out — a
+// millisecond poll timeout rounded each of those up to a full 1 ms.
 #pragma once
 
+#include <poll.h>
+
+#include <chrono>
 #include <memory>
+#include <span>
 
 namespace pia::transport {
+
+/// Waits until an entry of `fds` is ready or `deadline` passes.  Returns the
+/// number of ready entries, or 0 once the deadline has passed with none.
+/// Always polls at least once, so a past deadline is a non-blocking check.
+/// EINTR is retried until the deadline; any other poll failure raises
+/// Error{kTransport}.  Non-Linux builds round the remaining wait up to whole
+/// milliseconds (never early, up to 1 ms late).
+int poll_until(std::span<pollfd> fds,
+               std::chrono::steady_clock::time_point deadline);
 
 class ReadySignal {
  public:

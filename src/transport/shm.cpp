@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <new>
 
@@ -141,20 +140,9 @@ class ShmLink final : public Link {
     const Clock::time_point deadline = Clock::now() + timeout;
     for (;;) {
       if (auto msg = try_recv()) return msg;
-      if (in_->ctl->closed.load(std::memory_order_acquire))
-        return std::nullopt;
-      const auto remaining =
-          std::chrono::ceil<std::chrono::milliseconds>(deadline -
-                                                       Clock::now());
-      if (remaining.count() <= 0) return std::nullopt;
+      if (in_->ctl->closed.load(std::memory_order_acquire)) return std::nullopt;
       pollfd pfd{.fd = in_->signal.fd(), .events = POLLIN, .revents = 0};
-      const int pr = ::poll(
-          &pfd, 1,
-          static_cast<int>(std::clamp<std::int64_t>(
-              remaining.count(), 0, std::numeric_limits<int>::max())));
-      if (pr < 0 && errno != EINTR)
-        raise(ErrorKind::kTransport,
-              std::string("shm poll: ") + std::strerror(errno));
+      if (poll_until({&pfd, 1}, deadline) == 0) return std::nullopt;
     }
   }
 

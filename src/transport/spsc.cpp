@@ -2,13 +2,9 @@
 
 #include <poll.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -101,18 +97,8 @@ class SpscLink final : public Link {
     for (;;) {
       if (auto msg = try_recv()) return msg;
       if (in_->closed.load(std::memory_order_acquire)) return std::nullopt;
-      const auto remaining =
-          std::chrono::ceil<std::chrono::milliseconds>(deadline -
-                                                       Clock::now());
-      if (remaining.count() <= 0) return std::nullopt;
       pollfd pfd{.fd = in_->signal.fd(), .events = POLLIN, .revents = 0};
-      const int pr = ::poll(
-          &pfd, 1,
-          static_cast<int>(std::clamp<std::int64_t>(
-              remaining.count(), 0, std::numeric_limits<int>::max())));
-      if (pr < 0 && errno != EINTR)
-        raise(ErrorKind::kTransport,
-              std::string("spsc poll: ") + std::strerror(errno));
+      if (poll_until({&pfd, 1}, deadline) == 0) return std::nullopt;
     }
   }
 

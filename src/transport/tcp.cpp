@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <cstring>
 #include <future>
-#include <limits>
 #include <thread>
 
 #include "base/error.hpp"
@@ -21,6 +20,8 @@
 
 namespace pia::transport {
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 [[noreturn]] void raise_errno(const std::string& what) {
   raise(ErrorKind::kTransport, what + ": " + std::strerror(errno));
@@ -53,14 +54,13 @@ class TcpLink final : public Link {
     stats_.count_send(message_count, frame.size());
   }
 
-  std::optional<Bytes> try_recv() override { return recv_impl(0); }
+  // A deadline already passed makes recv_impl a single non-blocking pass.
+  std::optional<Bytes> try_recv() override {
+    return recv_impl(Clock::time_point::min());
+  }
 
   std::optional<Bytes> recv_for(std::chrono::milliseconds timeout) override {
-    // Clamp before narrowing: a timeout over INT_MAX ms would otherwise
-    // wrap negative, which poll() treats as "wait forever".
-    const auto ms = std::clamp<std::chrono::milliseconds::rep>(
-        timeout.count(), 0, std::numeric_limits<int>::max());
-    return recv_impl(static_cast<int>(ms));
+    return recv_impl(Clock::now() + timeout);
   }
 
   void close() override {
@@ -90,29 +90,12 @@ class TcpLink final : public Link {
   int readable_fd() const override { return fd_; }
 
  private:
-  std::optional<Bytes> recv_impl(int timeout_ms) {
+  std::optional<Bytes> recv_impl(Clock::time_point deadline) {
     if (auto msg = pop()) return msg;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
     for (;;) {
       if (fd_ < 0) return std::nullopt;
-      const auto now = std::chrono::steady_clock::now();
-      // Round the remaining wait UP: truncating 0.9 ms to 0 would turn the
-      // poll into a busy spin (and starve peers of CPU).
-      const int remaining =
-          timeout_ms == 0
-              ? 0
-              : static_cast<int>(std::max<std::int64_t>(
-                    0, std::chrono::ceil<std::chrono::milliseconds>(
-                           deadline - now)
-                           .count()));
       pollfd pfd{.fd = fd_, .events = POLLIN, .revents = 0};
-      const int pr = ::poll(&pfd, 1, remaining);
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        raise_errno("tcp poll");
-      }
-      if (pr == 0) return std::nullopt;  // timed out
+      if (poll_until({&pfd, 1}, deadline) == 0) return std::nullopt;
 
       std::byte chunk[16384];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -130,7 +113,7 @@ class TcpLink final : public Link {
       }
       decoder_.feed(BytesView{chunk, static_cast<std::size_t>(n)});
       if (auto msg = pop()) return msg;
-      if (timeout_ms == 0) return std::nullopt;
+      if (Clock::now() >= deadline) return std::nullopt;
     }
   }
 

@@ -3,6 +3,9 @@
 // check that wake latency on an 8-channel star does not scale with the
 // channel count (the old idle path polled channels sequentially at 1 ms
 // each, so traffic on the last channel paid N × 1 ms before being noticed).
+// Also pins the sub-millisecond wait budget and transport::poll_until's
+// never-early contract.  Timing asserts are lower bounds only, so load on
+// the host cannot make them fail.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +18,12 @@
 #include "dist/channel_set.hpp"
 #include "transport/latency.hpp"
 #include "transport/link.hpp"
+#include "transport/ready.hpp"
 
 namespace pia::dist {
 namespace {
 
+using std::chrono::microseconds;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
@@ -121,6 +126,65 @@ TEST(ChannelSetWait, ClampsToBufferedDecoratorFrame) {
     got = set[0].link().try_recv();
   }
   EXPECT_TRUE(got.has_value());
+}
+
+/// A quiet link that reports a decorator-held frame maturing at `due`.
+class HeldFrameLink final : public transport::Link {
+ public:
+  explicit HeldFrameLink(steady_clock::time_point due) : due_(due) {}
+
+  void send(BytesView, std::uint32_t) override {}
+  std::optional<Bytes> try_recv() override { return std::nullopt; }
+  std::optional<Bytes> recv_for(milliseconds) override { return std::nullopt; }
+  void close() override {}
+  [[nodiscard]] bool closed() const override { return false; }
+  [[nodiscard]] transport::LinkStats stats() const override { return {}; }
+  [[nodiscard]] std::string describe() const override { return "held"; }
+  [[nodiscard]] std::optional<steady_clock::time_point> next_ready_time()
+      const override {
+    return due_;
+  }
+
+ private:
+  steady_clock::time_point due_;
+};
+
+TEST(ChannelSetWait, BudgetKeepsSubMillisecondRelease) {
+  // A frame maturing 200 us out must cap the wait at 200 us.  The wait used
+  // to round the release up to a whole millisecond, so every 100 us WAN hop
+  // slept about 1 ms.
+  ChannelSet set;
+  auto endpoint = std::make_unique<ChannelEndpoint>(
+      "held", ChannelMode::kConservative,
+      std::make_unique<HeldFrameLink>(steady_clock::now() + microseconds(200)),
+      1);
+  endpoint->index = 0;
+  set.add(std::move(endpoint));
+
+  std::vector<pollfd> fds;
+  const auto budget = set.prepare_wait(fds, milliseconds(10));
+  EXPECT_LE(budget, microseconds(200));
+  EXPECT_FALSE(fds.empty());  // the shared signal is always polled
+}
+
+TEST(PollUntil, NeverReturnsBeforeTheDeadline) {
+  transport::ReadySignal quiet;
+  for (const auto wait : {microseconds(300), microseconds(3000)}) {
+    pollfd pfd{.fd = quiet.fd(), .events = POLLIN, .revents = 0};
+    const auto start = steady_clock::now();
+    EXPECT_EQ(transport::poll_until({&pfd, 1}, start + wait), 0);
+    EXPECT_GE(steady_clock::now() - start, wait);
+  }
+}
+
+TEST(PollUntil, PastDeadlineStillReportsReadiness) {
+  transport::ReadySignal signal;
+  pollfd pfd{.fd = signal.fd(), .events = POLLIN, .revents = 0};
+  EXPECT_EQ(transport::poll_until({&pfd, 1}, steady_clock::time_point::min()),
+            0);
+  signal.notify();
+  EXPECT_EQ(transport::poll_until({&pfd, 1}, steady_clock::time_point::min()),
+            1);
 }
 
 }  // namespace

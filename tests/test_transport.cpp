@@ -435,6 +435,17 @@ TEST(Fault, SameSeedSameFaults) {
   }
 }
 
+TEST(Fault, RecvForWaitsOutTheFullTimeout) {
+  // Regression: the remaining wait was truncated to whole milliseconds for
+  // the inner link, so a quiet recv_for(3ms) gave up after about 2 ms.
+  auto pair = make_fault_pair(FaultPlan{});
+  for (const auto timeout : {1ms, 3ms}) {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(pair.b->recv_for(timeout).has_value());
+    EXPECT_GE(std::chrono::steady_clock::now() - t0, timeout);
+  }
+}
+
 TEST(Fault, TcpLinkCanBeDecorated) {
   TcpListener listener(0);
   const FaultPlan plan = FaultPlan::chaos(13);
