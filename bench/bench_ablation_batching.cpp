@@ -7,9 +7,19 @@
 // (batch limit 1, the pre-v2 wire behaviour) and enabled (the default limit
 // of 64) and reports the frame counts from LinkStats — the syscall-per-
 // message cost the batch frame removes.
+//
+// It also counts the serialize side's heap allocations: a global
+// operator-new counter around a warmed-up ChannelEndpoint batch burst shows
+// the FrameArena path at O(1) — in steady state zero — allocations per
+// batch, where a per-message scratch buffer would pay one per message plus
+// a frame assembly copy.
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <new>
 
 #include "bench_util.hpp"
+#include "dist/channel.hpp"
 #include "dist/node.hpp"
 #include "../tests/helpers.hpp"
 
@@ -18,7 +28,51 @@ using namespace pia::bench;
 using namespace pia::dist;
 using namespace std::chrono_literals;
 
+// --- operator-new counter ---------------------------------------------------
+
+// GCC's inliner pairs the replaced operator new with the std::free inside
+// the replaced operator delete and warns about the mismatch; that pairing
+// is exactly what a counting allocator does.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
 namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc{};
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+/// Heap allocations per 64-message batch once the arena is warm.
+double allocs_per_batch(std::uint64_t batches) {
+  transport::LinkPair pair = transport::make_loopback_pair();
+  ChannelEndpoint sender("bench", ChannelMode::kOptimistic,
+                         std::move(pair.a), 1);
+  const auto burst = [&] {
+    sender.hold_flush();
+    for (std::uint64_t i = 0; i < 64; ++i)
+      sender.send_message(SafeTimeGrant{.request_id = i + 1,
+                                        .safe_time = ticks(10),
+                                        .events_seen = i,
+                                        .lookahead = ticks(0)});
+    sender.release_flush();
+    while (pair.b->try_recv()) {
+    }
+  };
+  for (int i = 0; i < 16; ++i) burst();  // warm the arena + receive queue
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < batches; ++i) burst();
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  return static_cast<double>(after - before) / static_cast<double>(batches);
+}
 
 struct Outcome {
   double ms = 0;
@@ -117,8 +171,18 @@ int main() {
       }
     }
   }
+
+  // Serialize-side allocations per 64-message batch, arena warm.
+  const double per_batch = allocs_per_batch(1000);
+  std::printf("\nserialize side, warm arena: %.3f heap allocations per "
+              "64-message batch\n",
+              per_batch);
+  report.metric("arena_allocs_per_batch", per_batch);
+
   note("\nwith batching disabled every protocol message pays its own frame\n"
        "(and, over TCP, its own send syscall); the v2 batch frame packs a\n"
-       "whole optimistic run-ahead slice into one transmission.");
+       "whole optimistic run-ahead slice into one transmission, and the\n"
+       "arena keeps that batch in one recycled buffer, so a steady-state\n"
+       "batch allocates nothing.");
   return 0;
 }

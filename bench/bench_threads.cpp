@@ -10,8 +10,8 @@
 // measured here comes from overlapping waits, which needs OS threads, not
 // cores.
 //
-// Two topologies, both all-subsystems-on-one-node so every channel rides
-// the lock-free SPSC ring:
+// Two topologies, both all-subsystems-on-one-node (every channel is an
+// in-process loopback queue):
 //   * pipeline: producer -> N-1 sleeping relays -> sink, one stage per
 //     subsystem.  Overlap is pipelining: stage g works item k while stage
 //     g+1 works item k-1 (at the granularity of the slice burst / grant

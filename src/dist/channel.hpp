@@ -196,11 +196,6 @@ class ChannelEndpoint {
   /// legitimately resume sending before the peer's handshake frame arrives.
   std::uint64_t rejoin_sent = 0;
   std::uint64_t rejoin_received = 0;
-  /// Transport-capability bitmask from the peer's RejoinMsg (kTransportShm
-  /// etc.; 0 from pre-capability peers ⇒ assume the TCP baseline).  Purely
-  /// informational — capability mismatch is never a handshake failure, the
-  /// channel just stays on the transport it already has.
-  std::uint64_t peer_transports = 0;
 
   // --- conservative state ----------------------------------------------------
 

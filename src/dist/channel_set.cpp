@@ -36,7 +36,7 @@ void ChannelSet::replace_link(ChannelId id, transport::LinkPtr link) {
 
 std::chrono::nanoseconds ChannelSet::prepare_wait(
     std::vector<pollfd>& fds, std::chrono::nanoseconds timeout) {
-  // Frames parked inside fault/latency decorators mature silently: clamp
+  // Frames parked inside the fault decorator mature silently: clamp
   // the wait to the earliest reported release so they are picked up on
   // time regardless of how long the caller was willing to sleep.
   const Clock::time_point now = Clock::now();

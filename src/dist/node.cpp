@@ -1,15 +1,12 @@
 #include "dist/node.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <string_view>
 #include <thread>
 
 #include "base/error.hpp"
 #include "base/log.hpp"
 #include "dist/executor.hpp"
 #include "obs/chrome_trace.hpp"
-#include "transport/spsc.hpp"
 
 namespace pia::dist {
 
@@ -51,10 +48,6 @@ transport::LinkPair make_wire_pair(Wire wire) {
   switch (wire) {
     case Wire::kLoopback:
       return transport::make_loopback_pair();
-    case Wire::kSpsc:
-      return transport::make_spsc_pair();
-    case Wire::kShm:
-      return transport::make_shm_pair();
     case Wire::kTcp: {
       transport::TcpListener listener(0);
       return transport::connect_tcp_pair(listener);
@@ -63,65 +56,24 @@ transport::LinkPair make_wire_pair(Wire wire) {
   raise(ErrorKind::kState, "unknown wire kind");
 }
 
-namespace {
-
-enum class ShmPolicy { kDefault, kForce, kForbid };
-
-/// PIA_SHM knob (see node.hpp).  Read per connect call so tests can flip it
-/// between clusters.
-ShmPolicy shm_policy() {
-  const char* v = std::getenv(kShmEnvVar);
-  if (v == nullptr) return ShmPolicy::kDefault;
-  const std::string_view s{v};
-  if (s == "1" || s == "force") return ShmPolicy::kForce;
-  if (s == "0" || s == "forbid") return ShmPolicy::kForbid;
-  return ShmPolicy::kDefault;
-}
-
-}  // namespace
-
-ChannelPair connect(Subsystem& a, Subsystem& b, ChannelMode mode, Wire wire,
-                    transport::LatencyModel latency,
-                    const transport::FaultPlan& fault) {
-  // Co-scheduled subsystems (same host node) are each driven by exactly
-  // one thread at a time in every execution mode, which is precisely the
-  // single-producer/single-consumer contract — upgrade their loopback to
-  // the mutex-free ring so pooled workers never serialize on a pipe lock.
-  if (wire == Wire::kLoopback && a.host_node() != nullptr &&
-      a.host_node() == b.host_node()) {
-    wire = Wire::kSpsc;
-  }
-  // The shm force/forbid ladder: kShm is an explicit per-channel request
-  // (both endpoints must be in this process, which connect() guarantees);
-  // PIA_SHM=force upgrades every in-process ring to shm, PIA_SHM=forbid
-  // maps shm requests back to the SPSC ring.  TCP is never rewritten —
-  // it is the only transport that crosses hosts.
-  switch (shm_policy()) {
-    case ShmPolicy::kForce:
-      if (wire != Wire::kTcp) wire = Wire::kShm;
-      break;
-    case ShmPolicy::kForbid:
-      if (wire == Wire::kShm) wire = Wire::kSpsc;
-      break;
-    case ShmPolicy::kDefault:
-      break;
-  }
-  transport::LinkPair pair = make_wire_pair(wire);
-  // Faults sit closest to the wire (they model the wire); latency decorates
-  // the faulty link the way WAN delay rides on a lossy path.
+transport::LinkPair decorate_pair(transport::LinkPair pair,
+                                  const transport::LatencyModel& latency,
+                                  transport::FaultPlan fault) {
+  fault.latency = latency;
   if (fault.enabled()) {
     pair.a = transport::make_fault_link(std::move(pair.a),
                                         fault.for_endpoint(1));
     pair.b = transport::make_fault_link(std::move(pair.b),
                                         fault.for_endpoint(2));
   }
-  const bool has_latency = latency.base.count() > 0 ||
-                           latency.per_byte.count() > 0 ||
-                           latency.jitter_max.count() > 0;
-  if (has_latency) {
-    pair.a = transport::make_latency_link(std::move(pair.a), latency);
-    pair.b = transport::make_latency_link(std::move(pair.b), latency);
-  }
+  return pair;
+}
+
+ChannelPair connect(Subsystem& a, Subsystem& b, ChannelMode mode, Wire wire,
+                    transport::LatencyModel latency,
+                    const transport::FaultPlan& fault) {
+  transport::LinkPair pair =
+      decorate_pair(make_wire_pair(wire), latency, fault);
   const std::string channel_name = a.name() + "<->" + b.name();
   return ChannelPair{
       .a = a.add_channel(channel_name, mode, std::move(pair.a)),

@@ -4,11 +4,12 @@
 // interconnected through a network.  Each node contains a number of sockets
 // and each socket can facilitate a connection to a design tool ... or a
 // device."  A PiaNode hosts one or more subsystems and runs each on its own
-// thread; channels between subsystems ride on loopback pipes when both live
-// in the same process and on TCP sockets when they do not.  NodeCluster is
-// the in-process harness gluing several nodes together for tests, examples
-// and benches — including the coordinated GVT barrier used for fossil
-// collection.
+// thread (or on a NodeExecutor pool); channels between subsystems ride on
+// in-process loopback pipes when both live in the same process — on one node
+// or on co-located nodes — and on TCP sockets when they do not.  NodeCluster
+// is the in-process harness gluing several nodes together for tests,
+// examples and benches — including the coordinated GVT barrier used for
+// fossil collection.
 #pragma once
 
 #include <atomic>
@@ -69,27 +70,27 @@ struct ChannelPair {
 /// How the two endpoints of a channel are physically connected.
 enum class Wire {
   kLoopback,  // in-process pipe (same node, or co-located nodes)
-  kSpsc,      // lock-free in-process ring (co-scheduled subsystems)
-  kShm,       // shared-memory byte ring, zero-copy receive (co-located)
   kTcp,       // real sockets over localhost (the "Internet" of Fig. 1)
 };
 
-/// Environment override for the shm transport (read per connect call):
-///   PIA_SHM=1 / force  — upgrade every co-located channel to Wire::kShm
-///   PIA_SHM=0 / forbid — map Wire::kShm requests back to the SPSC ring
-/// Unset: shm is used exactly where the caller asked for it.
-inline constexpr const char* kShmEnvVar = "PIA_SHM";
-
-/// Builds a connected raw link pair for `wire` — no latency, faults or
-/// loopback→SPSC upgrade applied.  connect() and the replica wiring share
-/// this so every transport is constructed one way.
+/// Builds a connected raw link pair for `wire` — no latency or faults
+/// applied.  connect() and the replica wiring share this so every transport
+/// is constructed one way.
 transport::LinkPair make_wire_pair(Wire wire);
 
+/// Applies a channel's wide-area `latency` and wire faults to a raw pair.
+/// `latency` replaces `fault.latency`; when the resulting plan is enabled,
+/// each endpoint is wrapped exactly once, in a FaultLink whose plan is
+/// endpoint-salted so the two directions do not mirror each other.
+/// connect() and the replica wiring share this.
+transport::LinkPair decorate_pair(transport::LinkPair pair,
+                                  const transport::LatencyModel& latency,
+                                  transport::FaultPlan fault);
+
 /// Connects two subsystems with a channel.  `latency` models the wide-area
-/// path and `fault` injects seed-driven wire faults (both applied in both
-/// directions; fault decisions are endpoint-salted so the two directions do
-/// not mirror each other).  The subsystems may live on the same node or
-/// different nodes; the transport is chosen by `wire`.
+/// path and `fault` injects seed-driven wire faults, both applied in both
+/// directions by decorate_pair().  The subsystems may live on the same node
+/// or different nodes; the transport is chosen by `wire`.
 ChannelPair connect(Subsystem& a, Subsystem& b, ChannelMode mode,
                     Wire wire = Wire::kLoopback,
                     transport::LatencyModel latency = {},

@@ -110,7 +110,6 @@ void encode_message_into(serial::OutArchive& ar,
           ar.put_varint(m.events_sent);
           ar.put_varint(m.events_received);
           ar.put_varint(m.protocol);
-          ar.put_varint(m.transports);
         } else if constexpr (std::is_same_v<T, ModeProposalMsg>) {
           ar.put_u8(static_cast<std::uint8_t>(Tag::kModeProposal));
           ar.put_varint(m.nonce);
@@ -209,9 +208,6 @@ ChannelMessage decode_message(BytesView data) {
       // message simply ends here.
       m.protocol = ar.at_end() ? 1
                                : static_cast<std::uint32_t>(ar.get_varint());
-      // Transport capabilities trail the version; older peers omit them,
-      // which decodes as "TCP baseline only".
-      m.transports = ar.at_end() ? 0 : ar.get_varint();
       return m;
     }
     case Tag::kModeProposal: {

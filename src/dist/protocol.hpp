@@ -25,19 +25,10 @@ namespace pia::dist {
 /// mismatched peers fail loudly instead of desynchronizing.
 inline constexpr std::uint32_t kChannelProtocolVersion = 2;
 
-/// Transport-capability bits announced in the rejoin handshake (trailing
-/// varint bitmask; absent ⇒ 0 ⇒ the TCP baseline every peer speaks).
-/// Capabilities are informational: a mismatch never fails the handshake,
-/// the channel simply keeps the transport it already has.  The wire format
-/// on sockets stays protocol v2 regardless.
-inline constexpr std::uint64_t kTransportShm = 1u << 0;
-/// Capabilities this build announces.
-inline constexpr std::uint64_t kLocalTransports = kTransportShm;
-
 /// Synchronization-capability bits announced in a ModeProposalMsg (trailing
 /// varint bitmask; absent ⇒ 0 ⇒ a fixed-mode peer that cannot renegotiate).
-/// Like transport capabilities, a missing bit never breaks the wire: the
-/// proposal is rejected and the channel simply keeps its current mode.
+/// A missing bit never breaks the wire: the proposal is rejected and the
+/// channel simply keeps its current mode.
 inline constexpr std::uint64_t kSyncAdaptive = 1u << 0;
 /// Sync capabilities this build announces.
 inline constexpr std::uint64_t kLocalSyncCaps = kSyncAdaptive;
@@ -169,9 +160,6 @@ struct RejoinMsg {
   /// Wire-protocol version the sender speaks.  Encoded as a trailing field;
   /// pre-batching peers omitted it, so absence decodes as version 1.
   std::uint32_t protocol = kChannelProtocolVersion;
-  /// Transport capabilities the sender supports (kTransportShm | ...).
-  /// Trailing field after `protocol`; absence decodes as 0 (TCP only).
-  std::uint64_t transports = kLocalTransports;
 };
 
 /// Mode renegotiation, step 1 (propose).  The proposer asks its peer to

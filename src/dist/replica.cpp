@@ -418,26 +418,6 @@ void require_anti_affine(const Subsystem& candidate,
   }
 }
 
-transport::LinkPair decorate_pair(transport::LinkPair pair,
-                                  const transport::LatencyModel& latency,
-                                  const transport::FaultPlan* fault) {
-  // Same stacking as connect(): faults model the wire, latency rides on top.
-  if (fault != nullptr && fault->enabled()) {
-    pair.a = transport::make_fault_link(std::move(pair.a),
-                                        fault->for_endpoint(1));
-    pair.b = transport::make_fault_link(std::move(pair.b),
-                                        fault->for_endpoint(2));
-  }
-  const bool has_latency = latency.base.count() > 0 ||
-                           latency.per_byte.count() > 0 ||
-                           latency.jitter_max.count() > 0;
-  if (has_latency) {
-    pair.a = transport::make_latency_link(std::move(pair.a), latency);
-    pair.b = transport::make_latency_link(std::move(pair.b), latency);
-  }
-  return pair;
-}
-
 }  // namespace
 
 void ReplicaSet::add_member(Subsystem& member) {
@@ -470,7 +450,7 @@ ReplicaSet::Channel ReplicaSet::connect(
   for (std::size_t k = 0; k < members_.size(); ++k) {
     transport::LinkPair pair = decorate_pair(
         make_wire_pair(wire), latency,
-        k < member_faults.size() ? &member_faults[k] : nullptr);
+        k < member_faults.size() ? member_faults[k] : transport::FaultPlan{});
     const std::size_t slot = group_->add_member(std::move(pair.a));
     auto tagged = std::make_unique<ReplicaTagLink>(
         std::move(pair.b), static_cast<std::uint32_t>(slot),
@@ -526,7 +506,7 @@ ChannelId ReplicaSet::attach_member(std::size_t member, Subsystem& fresh,
   fresh.set_replica_member(true);
   require_anti_affine(fresh, members_, peer_, name_);
   transport::LinkPair pair =
-      decorate_pair(make_wire_pair(wire), latency, nullptr);
+      decorate_pair(make_wire_pair(wire), latency, {});
   group_->reattach_member(member, std::move(pair.a));
   auto tagged = std::make_unique<ReplicaTagLink>(
       std::move(pair.b), static_cast<std::uint32_t>(member),

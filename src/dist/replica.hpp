@@ -306,9 +306,10 @@ class ReplicaSet {
 
   /// Wires `peer` to every member as ONE logical channel.  `mode` must be
   /// kConservative.  `member_faults[k]`, when present, injects wire faults
-  /// on member k's sub-link only (the seeded replica-kill harness).  A
-  /// ReplicaSet carries exactly one logical channel: replicated subsystems
-  /// are leaves.
+  /// on member k's sub-link only (the seeded replica-kill harness); each
+  /// sub-link gets `latency` and its faults in one decorator, as with
+  /// connect().  A ReplicaSet carries exactly one logical channel:
+  /// replicated subsystems are leaves.
   Channel connect(Subsystem& peer, ChannelMode mode,
                   Wire wire = Wire::kLoopback,
                   transport::LatencyModel latency = {},

@@ -321,9 +321,9 @@ class Subsystem : private sync::EngineContext {
   /// once (dist::NodeExecutor builds one poll set across pool members).
   [[nodiscard]] ChannelSet& channel_set() { return channels_; }
 
-  /// Host tagging (set by PiaNode::add_subsystem): lets connect() pick the
-  /// mutex-free SPSC transport when both endpoints are co-scheduled on the
-  /// same node.  Opaque to Subsystem itself.
+  /// Host tagging (set by PiaNode::add_subsystem): lets ReplicaSet refuse
+  /// to co-locate replicas that would die together.  Opaque to Subsystem
+  /// itself.
   void set_host_node(const void* node) { host_node_ = node; }
   [[nodiscard]] const void* host_node() const { return host_node_; }
 

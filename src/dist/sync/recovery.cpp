@@ -340,11 +340,6 @@ void RecoveryCoordinator::on_rejoin(ChannelId channel_id,
                                     const RejoinMsg& rejoin) {
   ChannelEndpoint& c = ctx_.channels().at(channel_id);
   ctx_.note_activity();
-  // Record the peer's transport capabilities first: unlike the protocol
-  // version, a capability mismatch is never a handshake failure — the
-  // channel just keeps the transport it already runs on (the fallback
-  // ladder ends at TCP, which every peer speaks).
-  c.peer_transports = rejoin.transports;
   if (rejoin.protocol != kChannelProtocolVersion)
     raise(ErrorKind::kProtocol,
           "rejoin protocol mismatch on channel '" + c.name() +

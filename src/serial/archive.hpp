@@ -135,8 +135,8 @@ class OutArchive {
 };
 
 // InArchive is a borrowed-buffer reader: it never copies the backing bytes,
-// so a receiver can decode a frame in place — straight out of a shared-memory
-// ring slot or a loopback queue — as long as the buffer outlives every view
+// so a receiver can decode a frame in place — straight out of a loopback
+// queue slot — as long as the buffer outlives every view
 // handed out (get_view, and any Value payloads still aliasing it).  Decoded
 // messages copy payloads OUT of the frame (Value::load), so once decoding
 // finishes the borrowed frame may be released.

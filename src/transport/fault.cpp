@@ -14,7 +14,7 @@ using Clock = std::chrono::steady_clock;
 
 // Per-frame header stamped by the sending side: a sequence number (for
 // receiver-side dedup of duplicated frames) and a release deadline (for
-// delay faults; monotone per link, so FIFO survives).
+// latency and delay faults; monotone per link, so FIFO survives).
 constexpr std::size_t kHeaderSize =
     sizeof(std::uint64_t) + sizeof(std::int64_t);
 
@@ -41,7 +41,15 @@ class FaultLink final : public Link {
     ++sends_;
     ++frames_seen_;
 
-    auto delay = Clock::duration::zero();
+    // One release deadline per frame: modelled WAN latency plus every
+    // injected delay, then partitions, then the monotone floor.
+    const LatencyModel& latency = plan_.latency;
+    auto delay = std::chrono::duration_cast<Clock::duration>(latency.base) +
+                 latency.per_byte * static_cast<std::int64_t>(message.size());
+    if (latency.jitter_max.count() > 0) {
+      delay += std::chrono::microseconds(jitter_rng_.below(
+          static_cast<std::uint64_t>(latency.jitter_max.count())));
+    }
     if (plan_.delay_jitter_max.count() > 0) {
       const auto extra = std::chrono::microseconds(jitter_rng_.below(
           static_cast<std::uint64_t>(plan_.delay_jitter_max.count()) + 1));
@@ -225,6 +233,12 @@ class FaultLink final : public Link {
 
 LinkPtr make_fault_link(LinkPtr inner, FaultPlan plan) {
   return std::make_unique<FaultLink>(std::move(inner), std::move(plan));
+}
+
+LinkPtr make_latency_link(LinkPtr inner, LatencyModel model) {
+  FaultPlan plan;
+  plan.latency = model;
+  return make_fault_link(std::move(inner), std::move(plan));
 }
 
 LinkPair make_fault_pair(FaultPlan plan) {

@@ -6,8 +6,12 @@
 // decorates any Link with seed-driven wire faults while PRESERVING the Link
 // contract the distributed protocols depend on (FIFO, exactly-once): it
 // models a reliability layer riding an unreliable wire, the way TCP rides
-// IP.  Concretely:
+// IP.  It is also the one release-delay decorator: the wide-area
+// LatencyModel (transport/latency.hpp) rides in FaultPlan::latency, and its
+// delay joins the fault delays below in a single per-frame release
+// deadline.  Concretely:
 //
+//   * latency           — base + per-byte + jitter delay per frame,
 //   * delay jitter      — each frame's release is pushed by a random extra
 //                         wall-clock delay; a monotone release floor keeps
 //                         FIFO order (Chandy–Lamport needs FIFO channels),
@@ -35,12 +39,16 @@
 #include <chrono>
 #include <vector>
 
+#include "transport/latency.hpp"
 #include "transport/link.hpp"
 
 namespace pia::transport {
 
 struct FaultPlan {
   std::uint64_t seed = 1;
+
+  /// Wide-area delay applied to every frame (its jitter draws from `seed`).
+  LatencyModel latency;
 
   /// Per-frame extra delay, uniform in [0, delay_jitter_max].
   std::chrono::microseconds delay_jitter_max{0};
@@ -77,9 +85,10 @@ struct FaultPlan {
   std::uint64_t crash_endpoint = 0;
 
   [[nodiscard]] bool enabled() const {
-    return delay_jitter_max.count() > 0 || dup_probability > 0.0 ||
-           drop_probability > 0.0 || !partitions.empty() ||
-           close_after_sends > 0 || crash_at_frames > 0;
+    return latency.enabled() || delay_jitter_max.count() > 0 ||
+           dup_probability > 0.0 || drop_probability > 0.0 ||
+           !partitions.empty() || close_after_sends > 0 ||
+           crash_at_frames > 0;
   }
 
   [[nodiscard]] static FaultPlan none() { return {}; }
@@ -156,12 +165,12 @@ struct FaultPlan {
   }
 };
 
-/// Wraps `inner` with the plan's faults.  Both endpoints of a channel must
+/// Wraps `inner` with the plan's latency and faults.  Both endpoints of a channel must
 /// be wrapped (each handles its own outgoing faults and deduplicates its
 /// incoming frames); use for_endpoint() to de-correlate their seeds.
 LinkPtr make_fault_link(LinkPtr inner, FaultPlan plan);
 
-/// A loopback pipe with endpoint-salted faults applied in both directions.
+/// A loopback pipe with the endpoint-salted plan applied in both directions.
 LinkPair make_fault_pair(FaultPlan plan);
 
 }  // namespace pia::transport

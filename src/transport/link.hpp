@@ -5,10 +5,11 @@
 // Chandy–Lamport snapshot algorithm (paper §2.2.5) requires FIFO channels;
 // every Link implementation guarantees order-preserving, loss-free delivery.
 //
-// Two implementations exist: an in-process loopback pair (used when several
-// subsystems share a node or for deterministic tests) and a TCP socket link
-// (the "geographically distributed" case; exercised over localhost here).
-// A LatencyLink decorator injects wide-area delay into either.
+// Two implementations exist: an in-process loopback pair (every channel
+// whose endpoints share a process, and deterministic tests) and a TCP socket
+// link (the "geographically distributed" case; exercised over localhost
+// here).  One decorator, FaultLink (transport/fault.hpp), injects wide-area
+// latency and wire faults into either.
 #pragma once
 
 #include <atomic>
@@ -116,13 +117,13 @@ class Link {
 
   // --- Borrowed-frame receive (zero-copy hot path) ---
   //
-  // Links whose inbound frames already live in stable memory (a loopback
-  // queue slot, an SPSC ring slot, a shared-memory ring segment) can hand
-  // the receiver a VIEW of the next frame instead of a heap copy.  The view
-  // aliases link-owned storage and stays valid only until
-  // release_recv_view() or any subsequent recv call on this endpoint; the
-  // receiver must finish decoding (copying payloads out, e.g. via
-  // Value::load) before releasing.  Exactly one view may be outstanding.
+  // Links whose inbound frames already live in stable memory (the loopback
+  // queue's front slot) can hand the receiver a VIEW of the next frame
+  // instead of a heap copy.  The view aliases link-owned storage and stays
+  // valid only until release_recv_view() or any subsequent recv call on
+  // this endpoint; the receiver must finish decoding (copying payloads out,
+  // e.g. via Value::load) before releasing.  Exactly one view may be
+  // outstanding.
   // The defaults keep new implementations correct: no view support, and the
   // caller falls back to the owning try_recv().
 
@@ -134,7 +135,7 @@ class Link {
   virtual std::optional<BytesView> try_recv_view() { return std::nullopt; }
 
   /// Consume the frame most recently borrowed via try_recv_view(),
-  /// invalidating the view and freeing its slot for the producer.
+  /// invalidating the view.
   virtual void release_recv_view() {}
 
   /// Dequeue the next message, waiting up to `timeout`.
@@ -167,7 +168,7 @@ class Link {
   [[nodiscard]] virtual int readable_fd() const { return -1; }
 
   /// Earliest instant a frame already buffered *inside* this link becomes
-  /// receivable (fault/latency decorators holding a stamped frame for
+  /// receivable (the fault decorator holding a stamped frame for
   /// future release).  Such frames raise neither fd nor signal when they
   /// mature, so the waiter clamps its timeout to this.  nullopt when no
   /// buffered frame is pending.
@@ -187,10 +188,5 @@ struct LinkPair {
 
 /// Creates a FIFO loopback pipe pair.
 LinkPair make_loopback_pair();
-
-/// Creates a shared-memory ring pair (see transport/shm.hpp) with the
-/// default ring size.  Declared here so the dist wire factory can construct
-/// one without seeing the shm internals.
-LinkPair make_shm_pair();
 
 }  // namespace pia::transport

@@ -489,13 +489,12 @@ ScaleoutCluster::ScaleoutCluster(const ScaleoutSpec& spec) : spec_(spec) {
   auto popularity = std::make_shared<const dist::ZipfSampler>(
       spec_.catalog.pages, spec_.zipf_exponent);
 
-  // Clients (and their stations) pool on one edge node — their channels ride
-  // the SPSC upgrade.  The frontend sits on a core node and each gateway
-  // shard gets its own node, reached over cross-node loopback — exactly the
-  // tree a multi-host deployment shards into.  The interconnection rule
-  // (dist/topology.hpp) keeps this a tree: that is what makes conservative
-  // self-restriction removal exact, and the frontend is where the per-client
-  // vs aggregated fan-in cost concentrates.
+  // Clients (and their stations) pool on one edge node.  The frontend sits
+  // on a core node and each gateway shard gets its own node, reached over
+  // cross-node loopback — exactly the tree a multi-host deployment shards
+  // into.  The interconnection rule (dist/topology.hpp) keeps this a tree:
+  // that is what makes conservative self-restriction removal exact, and the
+  // frontend is where the per-client vs aggregated fan-in cost concentrates.
   dist::PiaNode& edge = cluster_.add_node("edge");
   edge.set_worker_threads(spec_.worker_threads);
   dist::PiaNode& core = cluster_.add_node("core");

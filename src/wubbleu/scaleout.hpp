@@ -440,8 +440,8 @@ class ScaleoutCluster {
 };
 
 /// Best-effort bump of the process fd soft limit to its hard limit.  A
-/// thousand-subsystem topology holds a ready-signal pipe per subsystem and
-/// per SPSC ring; default soft limits (1024) are too small for that.
+/// thousand-subsystem topology holds a ready-signal pipe per subsystem;
+/// default soft limits (1024) are too small for that.
 void raise_fd_limit();
 
 }  // namespace pia::wubbleu

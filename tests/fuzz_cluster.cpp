@@ -19,8 +19,6 @@
 //   fuzz_cluster --runs=50 --start-seed=1000   # a range (nightly CI)
 //   fuzz_cluster --recovery [...]  # crash-recovery arm: kill one endpoint
 //                                  # mid-run, restart from durable snapshots
-//   fuzz_cluster --shm [...]       # force every channel onto the
-//                                  # shared-memory ring (zero-copy receive)
 //   fuzz_cluster --adaptive [...]  # arm runtime mode renegotiation: an
 //                                  # aggressive cost watcher everywhere plus
 //                                  # one seed-derived forced flip
@@ -32,8 +30,8 @@
 // a cold start) and requires the final result to STILL match the
 // uninterrupted single-host oracle bit-exactly.
 //
-// --adaptive composes with the plain, --recovery, --shm, --threads and
-// --replicas arms: channels renegotiate conservative<->optimistic mid-run
+// --adaptive composes with the plain, --recovery, --threads and --replicas
+// arms: channels renegotiate conservative<->optimistic mid-run
 // over snapshot cuts, and the result must STILL be bit-exact — protocol
 // choice may move cost, never events.  Under --recovery the forced flip is
 // re-requested on the restarted cluster, so it has to defer through the
@@ -171,9 +169,7 @@ std::string describe_case(const FuzzCase& c) {
      << c.spec.subsystem_count() << " count=" << c.spec.count
      << " period=" << c.spec.period.str() << " sink_host=" << c.spec.sink_host
      << " wire="
-     << (c.wire == Wire::kTcp   ? "tcp"
-         : c.wire == Wire::kShm ? "shm"
-                                : "loopback")
+     << (c.wire == Wire::kTcp ? "tcp" : "loopback")
      << " latency_us=" << c.latency.base.count()
      << " batch=" << c.spec.batch_limit << " placement=";
   for (const std::size_t h : c.spec.stage_host) os << h;
@@ -307,9 +303,8 @@ bool run_one_config(std::uint64_t seed, const FuzzCase& c,
                       : "HORIZON");
   std::printf("  expected %s\n  got      %s\n",
               dump(reference).c_str(), dump(result).c_str());
-  std::printf("  reproduce: fuzz_cluster --seed=%llu%s%s%s\n",
+  std::printf("  reproduce: fuzz_cluster --seed=%llu%s%s\n",
               static_cast<unsigned long long>(seed),
-              c.wire == Wire::kShm ? " --shm" : "",
               threads > 0
                   ? (" --threads=" + std::to_string(threads)).c_str()
                   : "",
@@ -338,13 +333,11 @@ bool run_recovery_config(std::uint64_t seed, const FuzzCase& c,
   // arms run the same seeds as the single-threaded arm, and under a
   // parallel ctest both would otherwise remove_all/commit into the same
   // directory at once.
-  // ... and the wire: the --shm arm replays the same seeds as the plain
-  // recovery arm in a parallel ctest schedule.
   const std::filesystem::path root =
       std::filesystem::temp_directory_path() /
       ("pia_fuzz_recovery_" + std::to_string(seed) + "_" +
        describe_modes(modes) + "_t" + std::to_string(threads) +
-       (c.wire == Wire::kShm ? "_shm" : "") + (adaptive ? "_adpt" : ""));
+       (adaptive ? "_adpt" : ""));
   std::filesystem::remove_all(root);
   options.store_root = root.string();
   options.auto_snapshot_every = 4 + crash_rng.below(12);
@@ -382,20 +375,15 @@ bool run_recovery_config(std::uint64_t seed, const FuzzCase& c,
   }
   std::printf("  case: %s\n", describe_case(c).c_str());
   std::printf("  stores left in %s\n", root.string().c_str());
-  std::printf("  reproduce: fuzz_cluster --recovery --seed=%llu%s%s\n",
+  std::printf("  reproduce: fuzz_cluster --recovery --seed=%llu%s\n",
               static_cast<unsigned long long>(seed),
-              c.wire == Wire::kShm ? " --shm" : "",
               adaptive ? " --adaptive" : "");
   return false;
 }
 
 bool run_recovery_seed(std::uint64_t seed, bool verbose, std::size_t threads,
-                       bool shm, bool adaptive) {
-  FuzzCase c = generate(seed);
-  // --shm re-runs the same seed-derived workloads over the shared-memory
-  // ring: every case keeps its placement, faults and batch limits, only the
-  // transport changes — so any divergence is the transport's fault.
-  if (shm) c.wire = Wire::kShm;
+                       bool adaptive) {
+  const FuzzCase c = generate(seed);
   if (verbose)
     std::printf("seed=%llu %s (recovery, threads=%zu)\n",
                 static_cast<unsigned long long>(seed),
@@ -747,9 +735,8 @@ bool run_replicas_seed(std::uint64_t seed, bool verbose, std::size_t threads,
 }
 
 bool run_seed(std::uint64_t seed, bool verbose, std::size_t threads,
-              bool shm, bool adaptive) {
-  FuzzCase c = generate(seed);
-  if (shm) c.wire = Wire::kShm;
+              bool adaptive) {
+  const FuzzCase c = generate(seed);
   if (verbose)
     std::printf("seed=%llu %s\n", static_cast<unsigned long long>(seed),
                 describe_case(c).c_str());
@@ -788,7 +775,6 @@ int main(int argc, char** argv) {
   bool recovery = false;
   bool scaleout = false;
   bool replicas = false;
-  bool shm = false;
   bool adaptive = false;
   std::size_t threads = 0;
 
@@ -813,8 +799,6 @@ int main(int argc, char** argv) {
       scaleout = true;
     } else if (arg == "--replicas") {
       replicas = true;
-    } else if (arg == "--shm") {
-      shm = true;
     } else if (arg == "--adaptive") {
       adaptive = true;
     } else if (arg == "--verbose" || arg == "-v") {
@@ -824,7 +808,7 @@ int main(int argc, char** argv) {
                    "usage: fuzz_cluster [--recovery | --scaleout | "
                    "--replicas] [--seed=S | "
                    "--seeds=S1,S2,... | --runs=N [--start-seed=K]] "
-                   "[--shm] [--adaptive] [--threads=N] [--verbose]\n");
+                   "[--adaptive] [--threads=N] [--verbose]\n");
       return 2;
     }
   }
@@ -857,13 +841,12 @@ int main(int argc, char** argv) {
   std::uint64_t failures = 0;
   for (const std::uint64_t seed : seeds) {
     const bool ok =
-        recovery   ? pia::dist::run_recovery_seed(seed, verbose, threads, shm,
+        recovery   ? pia::dist::run_recovery_seed(seed, verbose, threads,
                                                   adaptive)
         : scaleout ? pia::dist::run_scaleout_seed(seed, verbose, threads)
         : replicas ? pia::dist::run_replicas_seed(seed, verbose, threads,
                                                   adaptive)
-                   : pia::dist::run_seed(seed, verbose, threads, shm,
-                                         adaptive);
+                   : pia::dist::run_seed(seed, verbose, threads, adaptive);
     if (!ok) ++failures;
     if (!verbose) {
       std::printf(".");

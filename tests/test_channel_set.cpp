@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "dist/channel_set.hpp"
-#include "transport/latency.hpp"
+#include "transport/fault.hpp"
 #include "transport/link.hpp"
 #include "transport/ready.hpp"
 
@@ -91,12 +91,13 @@ TEST(ChannelSetWait, WakesOnPeerClose) {
 }
 
 TEST(ChannelSetWait, ClampsToBufferedDecoratorFrame) {
-  // A latency decorator holds a received frame until its release stamp.
+  // The fault decorator holds a received frame until its release stamp.
   // Such frames raise neither fd nor signal when they mature, so wait_any
   // must clamp its sleep to the reported next_ready_time instead of
   // sleeping out the caller's full budget.
-  auto pair = transport::make_latency_pair(
-      transport::LatencyModel{.base = std::chrono::microseconds(30000)});
+  transport::FaultPlan plan;
+  plan.latency.base = std::chrono::microseconds(30000);
+  auto pair = transport::make_fault_pair(plan);
   ChannelSet set;
   auto endpoint = std::make_unique<ChannelEndpoint>(
       "delayed", ChannelMode::kConservative, std::move(pair.a), 1);

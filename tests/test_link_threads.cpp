@@ -1,8 +1,10 @@
-// Thread-safety storms for the Link implementations, regression tests for
-// the hardened ReadySignal / ChannelSet::wait_any, and the NodeExecutor
-// worker pool.  Everything here is about concurrency: FIFO order under
-// sender/receiver/stats races, close() mid-storm, EINTR resilience, and
-// bit-exact pooled execution.  Run under ThreadSanitizer in CI.
+// Thread-safety storms for the Link implementations, the loopback queue's
+// borrowed-view receive path, regression tests for the hardened
+// ReadySignal / ChannelSet::wait_any, and the NodeExecutor worker pool.
+// Everything here is about concurrency: FIFO order under sender/receiver/
+// stats races, views against a racing producer, close() mid-storm, EINTR
+// resilience, and bit-exact pooled execution.  Run under ThreadSanitizer
+// in CI.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +27,6 @@
 #include "dist_helpers.hpp"
 #include "transport/link.hpp"
 #include "transport/ready.hpp"
-#include "transport/spsc.hpp"
 #include "transport/tcp.hpp"
 
 namespace pia::transport {
@@ -94,48 +95,10 @@ TEST(LinkStorm, LoopbackFifoUnderStatsRace) {
   storm(*pair.a, *pair.b, 5000);
 }
 
-TEST(LinkStorm, SpscFifoUnderStatsRace) {
-  LinkPair pair = make_spsc_pair();
-  // Well above the ring capacity so the spill path runs too.
-  storm(*pair.a, *pair.b, 5000);
-}
-
 TEST(LinkStorm, TcpFifoUnderStatsRace) {
   TcpListener listener(0);
   LinkPair pair = connect_tcp_pair(listener);
   storm(*pair.a, *pair.b, 2000);
-}
-
-TEST(LinkStorm, SpscSpillPreservesOrderAcrossOverflow) {
-  // Fill far past the ring capacity with no receiver running, so frames
-  // land in ring + spill, then drain: order must be exactly send order.
-  LinkPair pair = make_spsc_pair();
-  constexpr std::uint32_t kFrames = 2048;  // ring holds 256
-  for (std::uint32_t i = 0; i < kFrames; ++i) pair.a->send(frame_for(i));
-  for (std::uint32_t i = 0; i < kFrames; ++i) {
-    auto got = pair.b->try_recv();
-    ASSERT_TRUE(got.has_value()) << "frame " << i;
-    EXPECT_EQ(index_of(*got), i);
-  }
-  EXPECT_FALSE(pair.b->try_recv().has_value());
-}
-
-TEST(LinkStorm, SpscReadableFdWakesPoll) {
-  LinkPair pair = make_spsc_pair();
-  const int fd = pair.b->readable_fd();
-  ASSERT_GE(fd, 0);
-
-  std::thread sender([&] {
-    std::this_thread::sleep_for(50ms);
-    pair.a->send(frame_for(7));
-  });
-  pollfd p{fd, POLLIN, 0};
-  const int pr = ::poll(&p, 1, 2000);
-  sender.join();
-  EXPECT_EQ(pr, 1);
-  auto got = pair.b->try_recv();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(index_of(*got), 7u);
 }
 
 /// close() racing a send storm: the sender must either complete or observe
@@ -170,7 +133,94 @@ void close_storm(LinkPair pair) {
 
 TEST(LinkStorm, LoopbackCloseMidStorm) { close_storm(make_loopback_pair()); }
 
-TEST(LinkStorm, SpscCloseMidStorm) { close_storm(make_spsc_pair()); }
+// --- Borrowed-view receive (the path every ChannelEndpoint decodes through)
+
+/// A frame whose every byte is derived from (seed, position), so a view
+/// aliasing the wrong slot cannot go unnoticed.
+Bytes patterned_frame(std::uint32_t seed, std::size_t size) {
+  Bytes b(size);
+  for (std::size_t i = 0; i < size; ++i)
+    b[i] = std::byte((seed * 131 + i * 7) & 0xff);
+  return b;
+}
+
+TEST(Loopback, BorrowedViewMatchesOwningRecv) {
+  LinkPair pair = make_loopback_pair();
+  ASSERT_TRUE(pair.b->supports_recv_view());
+  for (std::uint32_t i = 0; i < 512; ++i)
+    pair.a->send(patterned_frame(i, (i * 11) % 97));
+  for (std::uint32_t i = 0; i < 512; ++i) {
+    const Bytes expect = patterned_frame(i, (i * 11) % 97);
+    if (i % 2 == 0) {
+      const auto view = pair.b->try_recv_view();
+      ASSERT_TRUE(view.has_value()) << "frame " << i;
+      EXPECT_EQ(Bytes(view->begin(), view->end()), expect);
+      pair.b->release_recv_view();
+    } else {
+      // Alternating with the owning API must preserve FIFO.
+      auto got = pair.b->try_recv();
+      ASSERT_TRUE(got.has_value()) << "frame " << i;
+      EXPECT_EQ(*got, expect);
+    }
+  }
+  EXPECT_FALSE(pair.b->try_recv_view().has_value());
+  EXPECT_EQ(pair.b->stats().frames_received, 512u);
+}
+
+TEST(Loopback, BorrowedViewStableWhileProducerPushes) {
+  // The aliasing contract: the borrowed front slot must not move or change
+  // until release, however many frames the producer queues behind it.
+  LinkPair pair = make_loopback_pair();
+  const Bytes expect = patterned_frame(7, 48);
+  pair.a->send(BytesView{expect});
+  const auto view = pair.b->try_recv_view();
+  ASSERT_TRUE(view.has_value());
+  for (std::uint32_t i = 0; i < 3000; ++i) pair.a->send(frame_for(i));
+  EXPECT_EQ(Bytes(view->begin(), view->end()), expect);  // untouched
+  pair.b->release_recv_view();
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    auto got = pair.b->try_recv();
+    ASSERT_TRUE(got.has_value()) << "frame " << i;
+    EXPECT_EQ(index_of(*got), i);
+  }
+}
+
+TEST(Loopback, AbandonedViewIsConsumedByNextRecv) {
+  // Contract: any subsequent recv call invalidates (and consumes) an
+  // unreleased view, so a decode error cannot wedge the queue.
+  LinkPair pair = make_loopback_pair();
+  pair.a->send(frame_for(1));
+  pair.a->send(frame_for(2));
+  pair.a->send(frame_for(3));
+  ASSERT_TRUE(pair.b->try_recv_view().has_value());  // never released
+  auto got = pair.b->try_recv();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(index_of(*got), 2u);  // frame 1 was consumed with its view
+  ASSERT_TRUE(pair.b->try_recv_view().has_value());  // frame 3, abandoned
+  EXPECT_FALSE(pair.b->recv_for(1ms).has_value());
+}
+
+TEST(LinkStorm, LoopbackBorrowedViewFifoUnderSendRace) {
+  // The borrowed-view consumer against a storming producer: views must be
+  // byte-exact and FIFO while the sender keeps pushing behind them.
+  LinkPair pair = make_loopback_pair();
+  constexpr std::uint32_t kFrames = 5000;
+  std::thread sender([&] {
+    for (std::uint32_t i = 0; i < kFrames; ++i) pair.a->send(frame_for(i));
+  });
+  std::uint32_t next = 0;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (next < kFrames) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "stalled";
+    const auto view = pair.b->try_recv_view();
+    if (!view) continue;
+    ASSERT_EQ(view->size(), 4u);
+    ASSERT_EQ(index_of(Bytes(view->begin(), view->end())), next);
+    pair.b->release_recv_view();
+    ++next;
+  }
+  sender.join();
+}
 
 // --- ReadySignal hardening regressions -----------------------------------
 
@@ -205,13 +255,15 @@ void sigusr1_noop(int) {}
 
 /// Pepper a blocked recv_for with signals: poll returns EINTR, and the wait
 /// must resume with the *remaining* timeout — neither returning early nor
-/// restarting from scratch.
+/// restarting from scratch.  TCP is the link whose recv_for sleeps in
+/// poll_until.
 TEST(ReadySignal, RecvForSurvivesEintrStorm) {
   struct sigaction sa = {};
   sa.sa_handler = sigusr1_noop;
   ASSERT_EQ(::sigaction(SIGUSR1, &sa, nullptr), 0);
 
-  LinkPair pair = make_spsc_pair();
+  TcpListener listener(0);
+  LinkPair pair = connect_tcp_pair(listener);
   std::optional<Bytes> got;
   const auto start = std::chrono::steady_clock::now();
   std::thread waiter([&] { got = pair.b->recv_for(400ms); });
@@ -293,23 +345,24 @@ TEST(NodeExecutor, BitExactWithOracleAcrossWorkerCounts) {
   }
 }
 
-TEST(NodeExecutor, CoHostedLoopbackChannelsUpgradeToSpsc) {
-  // Two subsystems on one node: connect() must substitute the lock-free
-  // SPSC ring for the mutex-protected loopback pipe.
+TEST(NodeExecutor, CoHostedAndCrossNodeChannelsShareTheLoopbackWire) {
+  // Placement does not pick the wire: a channel between two subsystems on
+  // one node and a channel across nodes are both the loopback queue.
   NodeCluster cluster;
   PiaNode& node = cluster.add_node("pool");
   Subsystem& a = node.add_subsystem("a");
   Subsystem& b = node.add_subsystem("b");
   const ChannelPair chans =
       cluster.connect_checked(a, b, ChannelMode::kConservative);
-  EXPECT_EQ(a.channel_set().at(chans.a).link().describe(), "spsc");
+  EXPECT_EQ(a.channel_set().at(chans.a).link().describe(), "loopback");
+  EXPECT_EQ(b.channel_set().at(chans.b).link().describe(), "loopback");
 
-  // Split across two nodes the same call stays a loopback pipe.
   PiaNode& other = cluster.add_node("far");
   Subsystem& c = other.add_subsystem("c");
   const ChannelPair remote =
       cluster.connect_checked(a, c, ChannelMode::kConservative);
   EXPECT_EQ(a.channel_set().at(remote.a).link().describe(), "loopback");
+  EXPECT_EQ(c.channel_set().at(remote.b).link().describe(), "loopback");
 }
 
 TEST(NodeExecutor, RunsDirectlyAndCountsSlices) {

@@ -12,9 +12,11 @@
 #include <future>
 #include <limits>
 #include <thread>
+#include <vector>
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
+#include "dist/node.hpp"
 #include "dist/protocol.hpp"
 #include "dist/subsystem.hpp"
 #include "transport/crc32.hpp"
@@ -196,8 +198,16 @@ TEST(Tcp, LargeMessage) {
   EXPECT_EQ(*msg, big);
 }
 
+/// A loopback pipe whose fault plan carries only `model` (and `seed`).
+LinkPair latency_pair(LatencyModel model, std::uint64_t seed = 1) {
+  FaultPlan plan;
+  plan.seed = seed;
+  plan.latency = model;
+  return make_fault_pair(plan);
+}
+
 TEST(Latency, DelaysDelivery) {
-  auto pair = make_latency_pair(LatencyModel{.base = 50ms});
+  auto pair = latency_pair(LatencyModel{.base = 50ms});
   pair.a->send(to_bytes("slow"));
   // Not visible immediately...
   EXPECT_FALSE(pair.b->try_recv().has_value());
@@ -211,7 +221,7 @@ TEST(Latency, DelaysDelivery) {
 }
 
 TEST(Latency, PerByteCostScales) {
-  auto pair = make_latency_pair(
+  auto pair = latency_pair(
       LatencyModel{.per_byte = std::chrono::nanoseconds(20000)});  // 20 us/B
   pair.a->send(Bytes(1000));  // => ~20 ms
   const auto t0 = std::chrono::steady_clock::now();
@@ -222,8 +232,7 @@ TEST(Latency, PerByteCostScales) {
 }
 
 TEST(Latency, JitterPreservesFifo) {
-  auto pair = make_latency_pair(
-      LatencyModel{.base = 1ms, .jitter_max = 5ms, .jitter_seed = 99});
+  auto pair = latency_pair(LatencyModel{.base = 1ms, .jitter_max = 5ms}, 99);
   for (int i = 0; i < 50; ++i)
     pair.a->send(to_bytes(std::to_string(i)));
   for (int i = 0; i < 50; ++i) {
@@ -615,6 +624,47 @@ TEST(ModeNegotiation, ForcedFlipLandsOnBothEndpointsAtTheCut) {
   EXPECT_EQ(pair.b.channel(pair.cb).mode(), ChannelMode::kConservative);
   EXPECT_EQ(pair.a.channel(pair.ca).mode_epoch(), 2u);
   EXPECT_EQ(pair.b.channel(pair.cb).mode_epoch(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Channel wiring: one release-delay decorator per endpoint
+// ---------------------------------------------------------------------------
+
+TEST(Latency, ConnectStacksOneDecoratorPerEndpoint) {
+  using namespace std::chrono_literals;
+  // connect() folds the WAN latency model and the fault plan into a single
+  // FaultLink per endpoint, so each frame waits out one release deadline.
+  Subsystem a{"lat_a", 1};
+  Subsystem b{"lat_b", 2};
+  const transport::LatencyModel wan{.base = 20ms};
+  const ChannelPair chans =
+      connect(a, b, ChannelMode::kConservative, Wire::kLoopback, wan,
+              transport::FaultPlan::jitter(5, 2000us));
+  transport::Link& tx = a.channel(chans.a).link();
+  transport::Link& rx = b.channel(chans.b).link();
+  EXPECT_EQ(tx.describe(), "loopback+fault");
+  EXPECT_EQ(rx.describe(), "loopback+fault");
+
+  constexpr int kFrames = 20;
+  std::vector<std::chrono::steady_clock::time_point> sent_at;
+  for (int i = 0; i < kFrames; ++i) {
+    sent_at.push_back(std::chrono::steady_clock::now());
+    tx.send(to_bytes(std::to_string(i)));
+  }
+  for (int i = 0; i < kFrames; ++i) {
+    const auto msg = rx.recv_for(5000ms);
+    ASSERT_TRUE(msg.has_value()) << "lost frame " << i;
+    EXPECT_EQ(to_string(*msg), std::to_string(i)) << "FIFO violated";
+    EXPECT_GE(std::chrono::steady_clock::now() - sent_at[i], wan.base)
+        << "frame " << i << " released early";
+  }
+  // The reverse direction carries the same model.
+  const auto back_sent = std::chrono::steady_clock::now();
+  rx.send(to_bytes("back"));
+  const auto back = tx.recv_for(5000ms);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(to_string(*back), "back");
+  EXPECT_GE(std::chrono::steady_clock::now() - back_sent, wan.base);
 }
 
 }  // namespace

@@ -36,12 +36,6 @@ include a sync engine (dist/sync/*) — if failover ever needs engine help,
 that help must arrive through the Subsystem facade, keeping replication
 composable with any future engine.
 
-The shared-memory ring (src/transport/shm.hpp) is an implementation detail
-of the transport layer: everything above it holds only the Link contract
-(link.hpp declares make_shm_pair()), so shm.hpp may be included from
-src/transport/ files only.  This keeps the zero-copy machinery — ring
-layout, wrap markers, doorbell elision — swappable without touching dist.
-
 Two scale-out seams carry their own rules:
 
   * dist/sharding.* is a pure-function leaf (shard maps, ownership math):
@@ -155,18 +149,6 @@ def check_engine(path, errors):
         # Lower layers are covered by the directory DAG pass.
 
 
-def check_shm_confinement(path, layer, errors):
-    if layer == "transport":
-        return
-    for line_number, inc in first_party_includes(path):
-        if inc == "transport/shm.hpp":
-            errors.append(
-                f"{path}:{line_number}: transport/shm.hpp is confined to "
-                f"src/transport/; consume the ring through the Link "
-                f"contract (link.hpp declares make_shm_pair())"
-            )
-
-
 def check_sharding(path, errors):
     for line_number, inc in first_party_includes(path):
         if inc == "dist/sharding.hpp" or inc.startswith("base/"):
@@ -226,7 +208,6 @@ def main():
                 continue
             checked += 1
             check_directory_dag(path, layer, errors)
-            check_shm_confinement(path, layer, errors)
             if path.parent.name == "sync":
                 check_engine(path, errors)
             if layer == "dist" and path.name.split(".")[0] == "executor":
