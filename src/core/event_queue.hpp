@@ -26,10 +26,14 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
   /// The (time, seq)-minimal event.  Undefined when empty.
   [[nodiscard]] const Event& top() const { return heap_.front(); }
-  /// Read-only view of the pending events in heap order (NOT dispatch
-  /// order).  For aggregate scans that need a min over a subset without
-  /// disturbing the queue.
-  [[nodiscard]] const std::vector<Event>& events() const { return heap_; }
+  /// Calls fn(event) for every pending event with time < bound, in heap
+  /// order.  A heap node is never earlier than its parent, so the walk
+  /// prunes every subtree whose root is at or past the bound: the cost
+  /// follows the number of early events, not the queue size.
+  template <typename Fn>
+  void for_each_before(VirtualTime bound, const Fn& fn) const {
+    visit_before(0, bound, fn);
+  }
 
   void reserve(std::size_t n) { heap_.reserve(n); }
   void clear() { heap_.clear(); }
@@ -71,6 +75,17 @@ class EventQueue {
 
  private:
   static constexpr std::size_t kArity = 4;
+
+  template <typename Fn>
+  void visit_before(std::size_t i, VirtualTime bound, const Fn& fn) const {
+    if (i >= heap_.size() || !(heap_[i].time < bound)) return;
+    fn(heap_[i]);
+    const std::size_t first_child = i * kArity + 1;
+    const std::size_t last_child =
+        std::min(first_child + kArity, heap_.size());
+    for (std::size_t c = first_child; c < last_child; ++c)
+      visit_before(c, bound, fn);
+  }
 
   void sift_up(std::size_t i) {
     while (i > 0) {

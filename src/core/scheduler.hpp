@@ -100,11 +100,14 @@ class Scheduler final : public ComponentContext {
   [[nodiscard]] VirtualTime next_event_time() const;
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  /// Read-only view of the pending events, heap order (NOT dispatch order).
-  /// For aggregate scans — e.g. the conservative engine prices queued
-  /// channel-proxy crossings at their exact stamps when granting safe times.
-  [[nodiscard]] const std::vector<Event>& pending() const {
-    return queue_.events();
+  /// Calls fn(event) for every pending event with time < bound, in heap
+  /// order (NOT dispatch order), skipping the rest of the queue unvisited.
+  /// For bounded aggregate scans — e.g. the conservative engine prices
+  /// queued channel-proxy crossings at their exact stamps when granting
+  /// safe times.
+  template <typename Fn>
+  void for_each_pending_before(VirtualTime bound, const Fn& fn) const {
+    queue_.for_each_before(bound, fn);
   }
 
   /// Dispatches the next event.  Returns false when the queue is empty.

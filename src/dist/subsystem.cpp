@@ -147,6 +147,7 @@ void Subsystem::start() {
     c.can_send_events = drives;
     if (!drives) c.reaction_lookahead = VirtualTime::infinity();
   }
+  conservative_.index_channels();
   scheduler_.init();
   // Base checkpoint: the rollback target of last resort.
   optimistic_.take_checkpoint();

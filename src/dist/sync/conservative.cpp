@@ -30,68 +30,128 @@ void ConservativeEngine::on_grant(ChannelId channel_id,
                 grant.safe_time, endpoint.index, grant.events_seen);
 }
 
-VirtualTime ConservativeEngine::grant_for(ChannelId requester) const {
+void ConservativeEngine::index_channels() {
   const ChannelSet& channels = ctx_.channels();
-  // Sink-side endpoint (no local driver can route onto it, derived at
-  // start()): nothing will ever be sent to the requester, so the honest
-  // promise is infinity regardless of local progress.  This is the paper's
-  // self-restriction removal extended to topology: without it the grant is
-  // capped by next_event_time() and a forward-only pipeline degenerates to
-  // virtual-time lockstep, every stage waiting on its downstream listener.
-  if (!channels[requester.value()].can_send_events)
-    return VirtualTime::infinity();
-  const ChannelEndpoint& target = channels[requester.value()];
-  // Split the pending events by what they mean to the requester.  A
-  // delivery already queued for the requester's own channel proxy on a
-  // hidden (split-net) port IS a crossing: its timestamp carries the full
+  proxy_channel_.clear();
+  proxy_rx_.assign(channels.size(), kNoPort);
+  for (std::uint32_t i = 0; i < channels.size(); ++i) {
+    const ComponentId proxy = channels[i].channel_component;
+    if (!proxy.valid()) continue;
+    if (proxy.value() >= proxy_channel_.size())
+      proxy_channel_.resize(proxy.value() + 1, kNoChannel);
+    proxy_channel_[proxy.value()] = i;
+    proxy_rx_[i] = static_cast<const ChannelComponent&>(
+                       ctx_.scheduler().component(proxy))
+                       .rx_port();
+  }
+}
+
+std::uint32_t ConservativeEngine::crossing_channel(const Event& e) const {
+  if (e.kind != EventKind::kDeliver ||
+      e.target.value() >= proxy_channel_.size())
+    return kNoChannel;
+  const std::uint32_t channel = proxy_channel_[e.target.value()];
+  if (channel == kNoChannel || e.port == proxy_rx_[channel]) return kNoChannel;
+  return channel;
+}
+
+void ConservativeEngine::price_grants(std::uint32_t first,
+                                      std::uint32_t last) {
+  const ChannelSet& channels = ctx_.channels();
+  const std::uint32_t n = static_cast<std::uint32_t>(channels.size());
+  // Self-restriction removal in O(1) per channel: the promise to channel i
+  // is bounded by every OTHER channel's grant, which is the smallest
+  // effective grant unless i holds it, and then the second smallest.
+  //
+  // Every channel restricts the promise, optimistic ones included: an
+  // optimistic peer's pushed floor bounds the stragglers it can still send
+  // us, and a rollback they trigger here may regenerate sends to the
+  // requester no earlier than that floor.  Ignoring optimistic channels let
+  // a mixed subsystem promise infinity to a conservative peer before its
+  // optimistic upstream had produced anything (fuzz_cluster seed 2).
+  VirtualTime lowest = VirtualTime::infinity();
+  VirtualTime second = VirtualTime::infinity();
+  std::uint32_t lowest_channel = kNoChannel;
+  VirtualTime reach = VirtualTime::zero();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const ChannelEndpoint& c = channels[i];
+    const VirtualTime grant = c.effective_grant();
+    if (grant < lowest) {
+      second = lowest;
+      lowest = grant;
+      lowest_channel = i;
+    } else if (grant < second) {
+      second = grant;
+    }
+    if (i >= first && i < last && c.can_send_events)
+      reach = max(reach, c.lookahead);
+  }
+
+  // Split the pending events by what they mean to each channel.  A
+  // delivery already queued for a channel's own proxy on a hidden
+  // (split-net) port IS a crossing: its timestamp carries the full
   // sender-side net delay and the proxy forwards it to the peer unchanged,
   // so it arrives at exactly event.time — no lookahead applies on top.
   // Folding these into a flat next_event_time() + lookahead over-promised
   // by exactly the lookahead whenever a relay routed a value onto the
   // channel without advancing its own clock past the net delay first
   // (delay-carrying split nets, e.g. the scale-out station fan-in).
-  // Everything else — wakes, ordinary local deliveries, and rx-port
-  // injections (whose causal responses re-cross no earlier than their own
-  // stamp plus the net delay the lookahead declares) — still earns it.
-  const ComponentId proxy = target.channel_component;
-  VirtualTime crossing = VirtualTime::infinity();
-  VirtualTime horizon = VirtualTime::infinity();
-  if (proxy.valid()) {
-    const PortIndex rx = static_cast<const ChannelComponent&>(
-                             ctx_.scheduler().component(proxy))
-                             .rx_port();
-    for (const Event& e : ctx_.scheduler().pending()) {
-      if (e.kind == EventKind::kDeliver && e.target == proxy && e.port != rx)
-        crossing = min(crossing, e.time);
-      else
-        horizon = min(horizon, e.time);
-    }
-  } else {
-    // Endpoint without a local proxy (protocol unit tests): every pending
-    // event is plain local work.
-    horizon = ctx_.scheduler().next_event_time();
-  }
-  for (std::uint32_t i = 0; i < channels.size(); ++i) {
-    if (ChannelId{i} == requester) continue;  // self-restriction removal
+  // Everything else — wakes, ordinary local deliveries, deliveries bound
+  // for other channels, and rx-port injections (whose causal responses
+  // re-cross no earlier than their own stamp plus the net delay the
+  // lookahead declares) — is plain local work and still earns it.
+  //
+  // So the promise to i is min(min(bound_i, local_i) + lookahead_i,
+  // crossing_i), where bound_i covers the other channels and i's
+  // unconfirmed outputs, and local_i can be taken as `next`, the earliest
+  // pending stamp.  The earliest event is either plain work for i, making
+  // `next` exactly i's local horizon, or i's own crossing, which caps the
+  // promise at `next` anyway: the walk below records it whenever
+  // lookahead_i > 0, and with zero lookahead min(bound_i, next) is already
+  // at most `next`.  A crossing at or past next + lookahead_i cannot lower
+  // the promise, so one walk over the events earlier than next plus the
+  // largest priced lookahead finds every crossing that matters and prunes
+  // the rest of the heap.  grants_ holds each channel's earliest crossing
+  // until the last loop turns it into the grant.
+  const Scheduler& scheduler = ctx_.scheduler();
+  const VirtualTime next = scheduler.next_event_time();
+  grants_.assign(n, VirtualTime::infinity());
+  scheduler.for_each_pending_before(next + reach, [&](const Event& e) {
+    const std::uint32_t channel = crossing_channel(e);
+    if (channel != kNoChannel)
+      grants_[channel] = min(grants_[channel], e.time);
+  });
+
+  for (std::uint32_t i = first; i < last; ++i) {
     const ChannelEndpoint& c = channels[i];
-    // Every channel restricts the promise, optimistic ones included: an
-    // optimistic peer's pushed floor bounds the stragglers it can still
-    // send us, and a rollback they trigger here may regenerate sends to the
-    // requester no earlier than that floor.  Ignoring optimistic channels
-    // let a mixed subsystem promise infinity to a conservative peer before
-    // its optimistic upstream had produced anything (fuzz_cluster seed 2).
-    horizon = min(horizon, c.effective_grant());
+    // Sink-side endpoint (no local driver can route onto it, derived at
+    // start()): nothing will ever be sent to the requester, so the honest
+    // promise is infinity regardless of local progress.  This is the
+    // paper's self-restriction removal extended to topology: without it the
+    // grant is capped by next_event_time() and a forward-only pipeline
+    // degenerates to virtual-time lockstep, every stage waiting on its
+    // downstream listener.
+    if (!c.can_send_events) {
+      grants_[i] = VirtualTime::infinity();
+      continue;
+    }
+    VirtualTime bound = i == lowest_channel ? second : lowest;
+    // Unconfirmed outputs already sent to the requester can still be
+    // retracted at their recorded times if re-execution diverges: they
+    // bound the promise too (times are monotone, the first live entry is
+    // the min).
+    for (std::size_t k = c.replay_cursor; k < c.output_log.size(); ++k) {
+      if (c.output_log[k].retracted) continue;
+      bound = min(bound, c.output_log[k].time);
+      break;
+    }
+    grants_[i] = min(min(bound, next) + c.lookahead, grants_[i]);
   }
-  // Unconfirmed outputs already sent to the requester can still be
-  // retracted at their recorded times if re-execution diverges: they bound
-  // the promise too (times are monotone, the first live entry is the min).
-  for (std::size_t k = target.replay_cursor; k < target.output_log.size();
-       ++k) {
-    if (target.output_log[k].retracted) continue;
-    horizon = min(horizon, target.output_log[k].time);
-    break;
-  }
-  return min(horizon + target.lookahead, crossing);
+}
+
+VirtualTime ConservativeEngine::grant_for(ChannelId requester) {
+  price_grants(requester.value(), requester.value() + 1);
+  return grants_[requester.value()];
 }
 
 VirtualTime ConservativeEngine::barrier() const {
@@ -108,9 +168,10 @@ void ConservativeEngine::push_grants() {
   // *through* optimistic subsystems, which is what makes mixed-mode chains
   // sound (a conservative grant grounded on an optimistic upstream).
   ChannelSet& channels = ctx_.channels();
+  price_grants(0, static_cast<std::uint32_t>(channels.size()));
   for (std::uint32_t i = 0; i < channels.size(); ++i) {
     ChannelEndpoint& c = channels[i];
-    const VirtualTime grant = grant_for(ChannelId{i});
+    const VirtualTime grant = grants_[i];
     // Push when the promise improves in either dimension: a later horizon,
     // or a horizon grounded on more of the peer's sends.  The second case
     // pushes even when the time component regresses (e.g. an initial

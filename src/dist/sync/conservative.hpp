@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "dist/sync/engine_context.hpp"
 
@@ -40,10 +41,16 @@ class ConservativeEngine {
 
   // --- run-loop services ---------------------------------------------------
 
+  /// Derives the proxy -> channel lookup grant pricing classifies pending
+  /// events with.  Wiring is frozen once the subsystem starts, so
+  /// Subsystem::start() calls this once; until then no pending event
+  /// counts as a channel crossing.
+  void index_channels();
+
   /// The grant we can promise `requester` right now (self-restriction
   /// removed): min over next local event and the grants peers on *other*
   /// channels gave us, plus the channel lookahead.
-  [[nodiscard]] VirtualTime grant_for(ChannelId requester) const;
+  [[nodiscard]] VirtualTime grant_for(ChannelId requester);
 
   /// min over conservative channels of granted_in (the advance barrier).
   [[nodiscard]] VirtualTime barrier() const;
@@ -124,8 +131,21 @@ class ConservativeEngine {
     std::uint64_t activity = 0;
   };
 
+  static constexpr std::uint32_t kNoChannel = 0xFFFFFFFFu;
+
+  /// Prices the grants of channels [first, last) into grants_ in one pass.
+  void price_grants(std::uint32_t first, std::uint32_t last);
+  /// The channel `e` crosses on — a delivery to the channel's proxy on a
+  /// hidden (split-net) port — or kNoChannel.
+  [[nodiscard]] std::uint32_t crossing_channel(const Event& e) const;
+
   EngineContext& ctx_;
   ConservativeStats stats_;
+  /// Channel index per proxy ComponentId value (kNoChannel elsewhere), and
+  /// each channel's proxy rx port; see index_channels().
+  std::vector<std::uint32_t> proxy_channel_;
+  std::vector<PortIndex> proxy_rx_;
+  std::vector<VirtualTime> grants_;  // price_grants() output, per channel
   std::optional<ProbeRound> my_probe_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, RelayedProbe>
       relayed_probes_;

@@ -447,15 +447,12 @@ std::string describe_scaleout(const wubbleu::ScaleoutSpec& spec) {
   return os.str();
 }
 
-bool run_scaleout_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
-                         const std::vector<ChannelMode>& cycle,
-                         std::size_t phase, bool aggregated,
-                         const wubbleu::ScaleoutResult& reference,
-                         bool verbose, std::size_t threads) {
-  spec.mode_cycle = cycle;
-  spec.mode_phase = phase;
-  spec.aggregated = aggregated;
-  spec.worker_threads = threads;
+// Runs one scale-out configuration and prints what diverged (or, verbose,
+// that it passed).  Lets whatever the cluster throws escape.
+bool check_scaleout_config(std::uint64_t seed,
+                           const wubbleu::ScaleoutSpec& spec,
+                           const wubbleu::ScaleoutResult& reference,
+                           bool verbose) {
   wubbleu::ScaleoutCluster dut(spec);
   const auto outcomes = dut.run();
   bool ok = true;
@@ -471,7 +468,8 @@ bool run_scaleout_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
         "FAIL seed=%llu (scaleout) modes=%s agg=%d threads=%zu: "
         "fetch log diverges from single-host oracle\n",
         static_cast<unsigned long long>(seed),
-        describe_modes(cycle).c_str(), aggregated ? 1 : 0, threads);
+        describe_modes(spec.mode_cycle).c_str(), spec.aggregated ? 1 : 0,
+        spec.worker_threads);
     for (std::size_t c = 0; c < reference.fetches.size(); ++c) {
       const auto& want = reference.fetches[c];
       const auto& got = result.fetches[c];
@@ -533,6 +531,33 @@ bool run_scaleout_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
         static_cast<unsigned long long>(total.events_received));
     ok = false;
   }
+  if (ok && verbose)
+    std::printf("  modes=%s agg=%d threads=%zu ... ok (%llu fetches)\n",
+                describe_modes(spec.mode_cycle).c_str(),
+                spec.aggregated ? 1 : 0, spec.worker_threads,
+                static_cast<unsigned long long>(result.total_fetches()));
+  return ok;
+}
+
+bool run_scaleout_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
+                         const std::vector<ChannelMode>& cycle,
+                         std::size_t phase, bool aggregated,
+                         const wubbleu::ScaleoutResult& reference,
+                         bool verbose, std::size_t threads) {
+  spec.mode_cycle = cycle;
+  spec.mode_phase = phase;
+  spec.aggregated = aggregated;
+  spec.worker_threads = threads;
+  bool ok = false;
+  try {
+    ok = check_scaleout_config(seed, spec, reference, verbose);
+  } catch (const std::exception& e) {
+    std::printf("FAIL seed=%llu (scaleout) modes=%s agg=%d threads=%zu: "
+                "threw\n  %s\n",
+                static_cast<unsigned long long>(seed),
+                describe_modes(cycle).c_str(), aggregated ? 1 : 0, threads,
+                e.what());
+  }
   if (!ok) {
     std::printf("  case: %s\n", describe_scaleout(spec).c_str());
     std::printf("  reproduce: fuzz_cluster --scaleout --seed=%llu%s\n",
@@ -540,10 +565,6 @@ bool run_scaleout_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
                 threads > 0
                     ? (" --threads=" + std::to_string(threads)).c_str()
                     : "");
-  } else if (verbose) {
-    std::printf("  modes=%s agg=%d threads=%zu ... ok (%llu fetches)\n",
-                describe_modes(cycle).c_str(), aggregated ? 1 : 0, threads,
-                static_cast<unsigned long long>(result.total_fetches()));
   }
   return ok;
 }
@@ -610,22 +631,13 @@ void arm_adaptive_scaleout(wubbleu::ScaleoutCluster& dut,
   proposer.request_mode_change(ChannelId{0}, target);
 }
 
-bool run_replicas_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
-                         bool aggregated, bool kill,
-                         const wubbleu::ScaleoutResult& reference,
-                         bool verbose, std::size_t threads, bool adaptive) {
-  Rng salt(seed ^ 0x2E111CA7EDF00DULL);
-  spec.aggregated = aggregated;
-  spec.worker_threads = threads;
-  spec.shard_replicas = 2 + salt.below(2);
-  if (kill) {
-    spec.replica_kill.shard =
-        static_cast<std::uint32_t>(salt.below(spec.shards));
-    spec.replica_kill.member = salt.below(spec.shard_replicas);
-    spec.replica_kill.frames = 4 + salt.below(24);
-    spec.replica_kill.seed = seed;
-  }
-
+// Runs one replicated configuration and prints what broke the failover
+// contract (or, verbose, that it held).  Lets whatever the cluster throws
+// escape.
+bool check_replicas_config(std::uint64_t seed,
+                           const wubbleu::ScaleoutSpec& spec, bool kill,
+                           const wubbleu::ScaleoutResult& reference,
+                           bool verbose, bool adaptive) {
   wubbleu::ScaleoutCluster dut(spec);
   if (adaptive) arm_adaptive_scaleout(dut, seed);
   const auto outcomes = dut.run();
@@ -653,7 +665,7 @@ bool run_replicas_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
         "FAIL seed=%llu (replicas) K=%zu agg=%d kill=%d threads=%zu: fetch "
         "log diverges from unreplicated single-host oracle\n",
         static_cast<unsigned long long>(seed), spec.shard_replicas,
-        aggregated ? 1 : 0, kill ? 1 : 0, threads);
+        spec.aggregated ? 1 : 0, kill ? 1 : 0, spec.worker_threads);
     ok = false;
   }
 
@@ -692,6 +704,48 @@ bool run_replicas_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
     ok = false;
   }
 
+  if (ok && verbose)
+    std::printf(
+        "  K=%zu agg=%d kill=%d threads=%zu ... ok (%llu fetches, "
+        "failover=%lluus)\n",
+        spec.shard_replicas, spec.aggregated ? 1 : 0, kill ? 1 : 0,
+        spec.worker_threads,
+        static_cast<unsigned long long>(result.total_fetches()),
+        static_cast<unsigned long long>(
+            kill ? dut.replica_set(spec.replica_kill.shard)
+                       .group()
+                       .group_stats()
+                       .last_failover_micros
+                 : 0));
+  return ok;
+}
+
+bool run_replicas_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
+                         bool aggregated, bool kill,
+                         const wubbleu::ScaleoutResult& reference,
+                         bool verbose, std::size_t threads, bool adaptive) {
+  Rng salt(seed ^ 0x2E111CA7EDF00DULL);
+  spec.aggregated = aggregated;
+  spec.worker_threads = threads;
+  spec.shard_replicas = 2 + salt.below(2);
+  if (kill) {
+    spec.replica_kill.shard =
+        static_cast<std::uint32_t>(salt.below(spec.shards));
+    spec.replica_kill.member = salt.below(spec.shard_replicas);
+    spec.replica_kill.frames = 4 + salt.below(24);
+    spec.replica_kill.seed = seed;
+  }
+
+  bool ok = false;
+  try {
+    ok = check_replicas_config(seed, spec, kill, reference, verbose,
+                               adaptive);
+  } catch (const std::exception& e) {
+    std::printf("FAIL seed=%llu (replicas) K=%zu agg=%d kill=%d threads=%zu: "
+                "threw\n  %s\n",
+                static_cast<unsigned long long>(seed), spec.shard_replicas,
+                aggregated ? 1 : 0, kill ? 1 : 0, threads, e.what());
+  }
   if (!ok) {
     std::printf("  case: %s K=%zu\n", describe_scaleout(spec).c_str(),
                 spec.shard_replicas);
@@ -701,18 +755,6 @@ bool run_replicas_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
                     ? (" --threads=" + std::to_string(threads)).c_str()
                     : "",
                 adaptive ? " --adaptive" : "");
-  } else if (verbose) {
-    std::printf(
-        "  K=%zu agg=%d kill=%d threads=%zu ... ok (%llu fetches, "
-        "failover=%lluus)\n",
-        spec.shard_replicas, aggregated ? 1 : 0, kill ? 1 : 0, threads,
-        static_cast<unsigned long long>(result.total_fetches()),
-        static_cast<unsigned long long>(
-            kill ? dut.replica_set(spec.replica_kill.shard)
-                       .group()
-                       .group_stats()
-                       .last_failover_micros
-                 : 0));
   }
   return ok;
 }

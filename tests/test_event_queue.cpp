@@ -5,9 +5,12 @@
 // These tests drive EventQueue through randomized storms against the data
 // structure it replaced (std::multiset) and require bit-identical behaviour
 // through every operation the scheduler uses: push, pop, erase_if,
-// sorted_snapshot and the clear-and-rebuild path replace_queue takes.
+// sorted_snapshot and the clear-and-rebuild path replace_queue takes.  The
+// pruned walk the conservative engine prices grants with, for_each_before,
+// must visit exactly the events earlier than its bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -102,6 +105,45 @@ TEST(EventQueue, RandomStormMatchesMultisetOracle) {
       oracle.erase(oracle.begin());
     }
     EXPECT_TRUE(queue.empty());
+  }
+}
+
+TEST(EventQueue, ForEachBeforeVisitsExactlyTheEarlierEvents) {
+  Rng rng(0xB0B0u);
+  for (int round = 0; round < 200; ++round) {
+    EventQueue queue;
+    std::uint64_t next_seq = 0;
+    const int ops = static_cast<int>(rng.below(120));
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t pick = rng.below(100);
+      if (pick < 70 || queue.empty()) {
+        queue.push(make_event(random_time(rng), next_seq++));
+      } else if (pick < 90) {
+        queue.pop();
+      } else {
+        const std::uint64_t mod = 2 + rng.below(4);
+        queue.erase_if([mod](const Event& e) { return e.seq % mod == 0; });
+      }
+    }
+    const std::vector<Event> all = queue.sorted_snapshot();
+    for (int probe = 0; probe < 8; ++probe) {
+      // Bounds below, inside and above the queued range, and infinity.
+      const VirtualTime bound =
+          probe == 7 ? VirtualTime::infinity()
+                     : ticks(static_cast<VirtualTime::rep>(rng.below(45)));
+      std::vector<Event> visited;
+      queue.for_each_before(bound,
+                            [&](const Event& e) { visited.push_back(e); });
+      std::sort(visited.begin(), visited.end());
+      std::vector<Event> expected;
+      for (const Event& e : all)
+        if (e.time < bound) expected.push_back(e);
+      ASSERT_EQ(visited.size(), expected.size()) << "round " << round;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(visited[i].time, expected[i].time);
+        ASSERT_EQ(visited[i].seq, expected[i].seq);
+      }
+    }
   }
 }
 

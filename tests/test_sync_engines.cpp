@@ -11,6 +11,7 @@
 #include <variant>
 #include <vector>
 
+#include "base/rng.hpp"
 #include "core/checkpoint.hpp"
 #include "core/scheduler.hpp"
 #include "dist/channel_set.hpp"
@@ -194,6 +195,155 @@ TEST(SyncConservative, EffectiveGrantGroundsOnEventsSeen) {
   // Once the peer has seen everything, the grant stands on its own.
   ea.granted_in_seen = 2;
   EXPECT_EQ(ea.effective_grant().ticks(), 100);
+}
+
+// The per-channel pricing the one-pass grant pricing replaced, kept as the
+// reference: every pending event and every other channel rescanned for each
+// requester.
+VirtualTime reference_grant(const EngineContext& ctx, ChannelId requester) {
+  const ChannelSet& channels = ctx.channels();
+  const ChannelEndpoint& target = channels[requester.value()];
+  if (!target.can_send_events) return VirtualTime::infinity();
+  const ComponentId proxy = target.channel_component;
+  VirtualTime crossing = VirtualTime::infinity();
+  VirtualTime horizon = VirtualTime::infinity();
+  if (proxy.valid()) {
+    const PortIndex rx = static_cast<const ChannelComponent&>(
+                             ctx.scheduler().component(proxy))
+                             .rx_port();
+    ctx.scheduler().for_each_pending_before(
+        VirtualTime::infinity(), [&](const Event& e) {
+          if (e.kind == EventKind::kDeliver && e.target == proxy &&
+              e.port != rx)
+            crossing = min(crossing, e.time);
+          else
+            horizon = min(horizon, e.time);
+        });
+  } else {
+    horizon = ctx.scheduler().next_event_time();
+  }
+  for (std::uint32_t i = 0; i < channels.size(); ++i) {
+    if (ChannelId{i} == requester) continue;
+    horizon = min(horizon, channels[i].effective_grant());
+  }
+  for (std::size_t k = target.replay_cursor; k < target.output_log.size();
+       ++k) {
+    if (target.output_log[k].retracted) continue;
+    horizon = min(horizon, target.output_log[k].time);
+    break;
+  }
+  return min(horizon + target.lookahead, crossing);
+}
+
+VirtualTime random_stamp(Rng& rng) {
+  return ticks(static_cast<VirtualTime::rep>(rng.below(60)));
+}
+
+// Randomized subsystems: crossings queued on several proxies, rx-port
+// injections, wakes and plain deliveries, sink endpoints, channels without
+// a proxy, unconfirmed and retracted output-log entries, peer grants with
+// unseen sends, and zero, finite and infinite lookaheads.  Every grant must
+// equal the reference, including after more events are queued.
+TEST(SyncConservative, OnePassPricingMatchesPerChannelReference) {
+  Rng rng(0x9A17u);
+  for (int round = 0; round < 400; ++round) {
+    StubContext ctx;
+    Scheduler& scheduler = ctx.scheduler();
+    const ComponentId worker = scheduler.add(
+        std::make_unique<ChannelComponent>("worker"));
+    struct Proxy {
+      ComponentId id;
+      PortIndex rx = kNoPort;
+      std::vector<PortIndex> hidden;
+    };
+    std::vector<Proxy> proxies;
+    const std::uint32_t n = 1 + static_cast<std::uint32_t>(rng.below(6));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const ChannelId id = ctx.add_channel(
+          rng.chance(0.7) ? ChannelMode::kConservative
+                          : ChannelMode::kOptimistic);
+      ChannelEndpoint& c = ctx.channels().at(id);
+      const std::uint64_t shape = rng.below(10);
+      c.lookahead = shape == 0   ? VirtualTime::infinity()
+                    : shape < 3 ? VirtualTime::zero()
+                                : ticks(static_cast<VirtualTime::rep>(
+                                      rng.below(20)));
+      c.can_send_events = !rng.chance(0.15);
+      c.granted_in = rng.chance(0.15) ? VirtualTime::infinity()
+                                      : random_stamp(rng) + ticks(20);
+      c.granted_in_lookahead =
+          ticks(static_cast<VirtualTime::rep>(rng.below(10)));
+      VirtualTime stamp = random_stamp(rng);
+      const std::uint64_t logged = rng.below(4);
+      for (std::uint64_t k = 0; k < logged; ++k) {
+        c.output_log.push_back(ChannelEndpoint::OutputRecord{
+            .id = SendId{kStubId, k + 1}, .net_index = 0, .time = stamp,
+            .value = Value{k}, .retracted = rng.chance(0.4)});
+        stamp = stamp + ticks(static_cast<VirtualTime::rep>(rng.below(8)));
+      }
+      c.event_msgs_sent = logged;
+      c.granted_in_seen = rng.below(logged + 1);
+      c.replay_cursor = static_cast<std::size_t>(rng.below(logged + 1));
+      if (rng.chance(0.2)) continue;  // no local proxy
+      auto component =
+          std::make_unique<ChannelComponent>("proxy" + std::to_string(i));
+      Proxy proxy{.rx = component->rx_port()};
+      const std::uint64_t nets = 1 + rng.below(3);
+      for (std::uint64_t k = 0; k < nets; ++k)
+        proxy.hidden.push_back(component->add_split_net());
+      proxy.id = scheduler.add(std::move(component));
+      c.channel_component = proxy.id;
+      proxies.push_back(std::move(proxy));
+    }
+    ctx.conservative().index_channels();
+
+    const auto queue_event = [&](VirtualTime time) {
+      Event e{.time = time};
+      const std::uint64_t kind = proxies.empty() ? 3 : rng.below(4);
+      if (kind < 3) {
+        const Proxy& proxy = proxies[rng.below(proxies.size())];
+        e.target = proxy.id;
+        e.port = kind == 0 ? proxy.rx
+                           : proxy.hidden[rng.below(proxy.hidden.size())];
+      } else if (rng.chance(0.5)) {
+        e.target = worker;
+        e.port = 0;
+      } else {
+        // A wake is plain work even when it targets a proxy.
+        e.target = proxies.empty() || rng.chance(0.5)
+                       ? worker
+                       : proxies[rng.below(proxies.size())].id;
+        e.kind = EventKind::kWake;
+      }
+      scheduler.inject(std::move(e));
+    };
+    // A third of the rounds open with a crossing at the heap top.
+    if (!proxies.empty() && rng.chance(0.33)) {
+      const Proxy& proxy = proxies[rng.below(proxies.size())];
+      scheduler.inject(Event{.time = VirtualTime::zero(),
+                             .target = proxy.id,
+                             .port = proxy.hidden.front()});
+    }
+    for (int batch = 0; batch < 3; ++batch) {
+      for (std::uint32_t i = 0; i < n; ++i)
+        ASSERT_EQ(ctx.conservative().grant_for(ChannelId{i}),
+                  reference_grant(ctx, ChannelId{i}))
+            << "round " << round << " batch " << batch << " channel " << i;
+      // push_grants prices every channel at once: an unacknowledged
+      // receive forces a push on each, so granted_out is every promise.
+      for (std::uint32_t i = 0; i < n; ++i) {
+        ChannelEndpoint& c = ctx.channels().at(ChannelId{i});
+        c.event_msgs_received = c.granted_out_seen + 1;
+      }
+      ctx.conservative().push_grants();
+      for (std::uint32_t i = 0; i < n; ++i)
+        ASSERT_EQ(ctx.channels().at(ChannelId{i}).granted_out,
+                  reference_grant(ctx, ChannelId{i}))
+            << "round " << round << " batch " << batch << " push " << i;
+      const std::uint64_t more = rng.below(25);
+      for (std::uint64_t k = 0; k < more; ++k) queue_event(random_stamp(rng));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
