@@ -93,6 +93,9 @@ SendId ChannelEndpoint::send_event(std::uint32_t net_index,
                                    const Value& value, VirtualTime time) {
   const SendId id{.origin = origin_id_, .counter = next_send_counter_++};
   ++event_msgs_sent;
+  // The peer will hold this event at `time` before it can declare anything
+  // that accounts for it.
+  peer_need = min(peer_need, time);
   send_message(EventMsg{
       .id = id, .net_index = net_index, .time = time, .value = value});
   output_log.push_back(OutputRecord{
@@ -217,6 +220,18 @@ void ChannelEndpoint::discard_pending() {
   batch_count_ = 0;
   arena_.reset();
   inbound_.clear();
+}
+
+void ChannelEndpoint::reset_grants() {
+  granted_in = VirtualTime::zero();
+  granted_in_seen = 0;
+  granted_in_lookahead = VirtualTime::zero();
+  granted_out = VirtualTime::zero();
+  granted_out_seen = 0;
+  request_outstanding = false;
+  last_request_next = VirtualTime::infinity();
+  last_request_grant = VirtualTime::infinity();
+  peer_need = VirtualTime::zero();
 }
 
 void ChannelEndpoint::replace_link(transport::LinkPtr link) {

@@ -212,10 +212,25 @@ class ChannelEndpoint {
   /// the next blocked pass would fire an identical request at once —
   /// degenerating into a request/grant ping-pong storm between two pooled
   /// workers (observed: ~150 round trips per event on an 8-leaf star).
-  /// Re-requesting is pointless until either value changes; liveness is
-  /// preserved because push_grants() pushes every real improvement anyway.
+  /// Re-requesting is pointless until either value changes: the grantor
+  /// pushes every promise that reaches the need we declared (peer_need).
   VirtualTime last_request_next = VirtualTime::infinity();
   VirtualTime last_request_grant = VirtualTime::infinity();
+
+  /// Demand-driven pushes (the need invariant, DESIGN.md).  `peer_need` is
+  /// the earliest time at which the peer can use a promise from us: the
+  /// need_by of its last request or grant, clamped to the earliest of our
+  /// sends it had not seen then, and lowered by every send since.  A grant
+  /// below it is withheld.  It starts at zero, "push everything", and
+  /// returns to it wherever the grants above are reset.
+  VirtualTime peer_need = VirtualTime::zero();
+  /// Records a need the peer declared after seeing `seen` of our sends.
+  void note_peer_need(VirtualTime need_by, std::uint64_t seen) {
+    peer_need = min(need_by, earliest_unseen_send(seen));
+  }
+  /// Forgets every promise and need in both directions (a restore put the
+  /// channel on a fresh timeline); the run loop re-negotiates from zero.
+  void reset_grants();
 
   /// EventMsg counters on this channel (grant grounding).
   std::uint64_t event_msgs_sent = 0;
@@ -231,17 +246,34 @@ class ChannelEndpoint {
   std::uint64_t output_trimmed = 0;
   std::uint64_t input_trimmed = 0;
 
-  /// The barrier this channel imposes: the peer's grant, clamped to the
-  /// timestamp of our first send it had not yet seen plus the reaction
-  /// slack it declared (CMB channel-clock grounding + lookahead).
+  /// The earliest of our sends the peer had not seen once it had seen
+  /// `seen` of them; infinity when it had seen them all.  This is the
+  /// minimum over every unseen output-log entry, retracted ones included:
+  /// a rollback can retract a send and re-send an EARLIER one, so the first
+  /// unseen entry need not be the earliest, and a retracted send still
+  /// reaches the peer ahead of its retraction.
+  [[nodiscard]] VirtualTime earliest_unseen_send(std::uint64_t seen) const {
+    VirtualTime earliest = VirtualTime::infinity();
+    const std::size_t from =
+        seen > output_trimmed ? static_cast<std::size_t>(seen - output_trimmed)
+                              : 0;
+    for (std::size_t k = from; k < output_log.size(); ++k)
+      earliest = min(earliest, output_log[k].time);
+    return earliest;
+  }
+
+  /// The barrier this channel imposes: the peer's grant, clamped to our
+  /// earliest send it had not yet seen plus the reaction slack it declared
+  /// (CMB channel-clock grounding + lookahead).
+  /// A grant grounded before a GVT trim passes unclamped: the sends it
+  /// had not seen are committed history.
   [[nodiscard]] VirtualTime effective_grant() const {
-    if (granted_in_seen >= event_msgs_sent) return granted_in;
-    if (granted_in_seen < output_trimmed) return granted_in;  // pre-GVT
-    const std::size_t index =
-        static_cast<std::size_t>(granted_in_seen - output_trimmed);
-    if (index >= output_log.size()) return granted_in;
+    if (granted_in_seen >= event_msgs_sent ||
+        granted_in_seen < output_trimmed ||
+        granted_in_lookahead.is_infinite())
+      return granted_in;
     return min(granted_in,
-               output_log[index].time + granted_in_lookahead);
+               earliest_unseen_send(granted_in_seen) + granted_in_lookahead);
   }
   /// Horizon slack: the minimum virtual-time delay between dispatching a
   /// local event and any resulting value crossing this channel (net delays

@@ -62,12 +62,15 @@ void encode_message_into(serial::OutArchive& ar,
         } else if constexpr (std::is_same_v<T, SafeTimeRequest>) {
           ar.put_u8(static_cast<std::uint8_t>(Tag::kSafeTimeRequest));
           ar.put_varint(m.request_id);
+          serial::write(ar, m.need_by);
+          ar.put_varint(m.events_seen);
         } else if constexpr (std::is_same_v<T, SafeTimeGrant>) {
           ar.put_u8(static_cast<std::uint8_t>(Tag::kSafeTimeGrant));
           ar.put_varint(m.request_id);
           serial::write(ar, m.safe_time);
           ar.put_varint(m.events_seen);
           serial::write(ar, m.lookahead);
+          serial::write(ar, m.need_by);
         } else if constexpr (std::is_same_v<T, MarkMsg>) {
           ar.put_u8(static_cast<std::uint8_t>(Tag::kMark));
           ar.put_varint(m.token);
@@ -146,14 +149,20 @@ ChannelMessage decode_message(BytesView data) {
       m.value = Value::load(ar);
       return m;
     }
-    case Tag::kSafeTimeRequest:
-      return SafeTimeRequest{.request_id = ar.get_varint()};
+    case Tag::kSafeTimeRequest: {
+      SafeTimeRequest m;
+      m.request_id = ar.get_varint();
+      m.need_by = serial::read<VirtualTime>(ar);
+      m.events_seen = ar.get_varint();
+      return m;
+    }
     case Tag::kSafeTimeGrant: {
       SafeTimeGrant m;
       m.request_id = ar.get_varint();
       m.safe_time = serial::read<VirtualTime>(ar);
       m.events_seen = ar.get_varint();
       m.lookahead = serial::read<VirtualTime>(ar);
+      m.need_by = serial::read<VirtualTime>(ar);
       return m;
     }
     case Tag::kMark:

@@ -21,9 +21,10 @@ namespace pia::dist {
 
 /// Channel wire-protocol version.  Version 2 introduced batch frames (one
 /// link frame carrying several messages) and the compact Event port
-/// encoding in recovery images.  Announced in the rejoin handshake so
-/// mismatched peers fail loudly instead of desynchronizing.
-inline constexpr std::uint32_t kChannelProtocolVersion = 2;
+/// encoding in recovery images; version 3 the `need_by` fields of safe-time
+/// requests and grants.  Announced in the rejoin handshake so mismatched
+/// peers fail loudly instead of desynchronizing.
+inline constexpr std::uint32_t kChannelProtocolVersion = 3;
 
 /// Synchronization-capability bits announced in a ModeProposalMsg (trailing
 /// varint bitmask; absent ⇒ 0 ⇒ a fixed-mode peer that cannot renegotiate).
@@ -52,8 +53,16 @@ struct EventMsg {
 };
 
 /// "How far may I advance without consulting you again?"
+///
+/// `need_by` is the earliest time at which the requester can use a promise
+/// on this channel, and `events_seen` how many of the grantor's EventMsgs
+/// it had received when it said so.  The grantor answers once its grant
+/// reaches the need (see ChannelEndpoint::peer_need).  Zero asks for every
+/// promise.
 struct SafeTimeRequest {
   std::uint64_t request_id = 0;
+  VirtualTime need_by = VirtualTime::zero();
+  std::uint64_t events_seen = 0;
 };
 
 /// The grant: the reporting subsystem's own horizon with all restrictions
@@ -62,8 +71,8 @@ struct SafeTimeRequest {
 /// `events_seen` grounds the promise: it is how many of the requester's
 /// EventMsgs the grantor had received when computing the grant.  Events the
 /// grantor has not yet seen could still provoke responses as early as their
-/// own timestamps, so the requester clamps its barrier to the first unseen
-/// send's time (the CMB channel-clock argument).
+/// own timestamps, so the requester clamps its barrier to its earliest
+/// unseen send's time (the CMB channel-clock argument).
 struct SafeTimeGrant {
   std::uint64_t request_id = 0;  // 0 for unsolicited (null-message) grants
   VirtualTime safe_time;
@@ -73,6 +82,9 @@ struct SafeTimeGrant {
   /// requester event it has not seen yet.  Lets the requester run several
   /// events ahead per grant instead of lock-stepping one per round trip.
   VirtualTime lookahead;
+  /// The grantor's own need on this channel, as in SafeTimeRequest; it is
+  /// grounded on `events_seen`.
+  VirtualTime need_by = VirtualTime::zero();
 };
 
 /// Chandy–Lamport marker.  `token` identifies the snapshot request so a

@@ -314,6 +314,9 @@ std::optional<Subsystem::RunOutcome> Subsystem::run_slice(
   // grant and status push emit on a channel shares a batch.  The caller's
   // idle wait happens outside the hold so replies flush first.
   FlushHold hold(channels_);
+  // The drain may answer requests, whose grants declare our need: it is
+  // capped by this run's horizon.
+  conservative_.set_horizon(config.horizon);
   progressed = drain();
 
   // A dead link can never deliver the grants, retractions or probe

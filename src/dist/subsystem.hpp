@@ -331,10 +331,11 @@ class Subsystem : private sync::EngineContext {
   /// never ORIGINATE termination probes — a probe floods away from its
   /// arrival channel, so one originated by a replica could confirm
   /// termination without ever consulting the sibling clones.  They still
-  /// relay probes and reply.
+  /// relay probes and reply.  Nor do they declare a safe-time need: their
+  /// group passes the clones' declarations through last-wins.
   void set_replica_member(bool on) {
     replica_member_ = on;
-    conservative_.set_originate_probes(!on);
+    conservative_.set_replica_member(on);
   }
 
   /// Retires this subsystem from cluster-wide accounting (GVT minima).  Set

@@ -294,6 +294,9 @@ void AdaptiveController::apply_flip(ChannelEndpoint& c, ChannelMode target) {
     c.last_request_next = VirtualTime::infinity();
     c.last_request_grant = VirtualTime::infinity();
   }
+  // Needs are declared per mode (an optimistic channel asks for every
+  // floor): both sides flip, so both restart from "push everything".
+  c.peer_need = VirtualTime::zero();
   ctx_.note_activity();
   stats_.mode_changes++;
   if (target == ChannelMode::kOptimistic)

@@ -7,14 +7,12 @@ namespace pia::dist::sync {
 void ConservativeEngine::on_request(ChannelId channel_id,
                                     const SafeTimeRequest& request) {
   ChannelEndpoint& endpoint = ctx_.channels().at(channel_id);
-  endpoint.granted_out = grant_for(channel_id);
-  endpoint.granted_out_seen = endpoint.event_msgs_received;
-  endpoint.send_message(
-      SafeTimeGrant{.request_id = request.request_id,
-                    .safe_time = endpoint.granted_out,
-                    .events_seen = endpoint.granted_out_seen,
-                    .lookahead = endpoint.reaction_lookahead});
-  stats_.grants_sent++;
+  endpoint.note_peer_need(request.need_by, request.events_seen);
+  const VirtualTime grant = grant_for(channel_id);
+  // A promise the requester cannot use yet is not an answer: the first
+  // push that reaches its need is (on_grant takes any grant as the reply).
+  if (grant < endpoint.peer_need) return;
+  send_grant(endpoint, request.request_id, grant);
 }
 
 void ConservativeEngine::on_grant(ChannelId channel_id,
@@ -24,10 +22,40 @@ void ConservativeEngine::on_grant(ChannelId channel_id,
   endpoint.granted_in = grant.safe_time;
   endpoint.granted_in_seen = grant.events_seen;
   endpoint.granted_in_lookahead = grant.lookahead;
+  endpoint.note_peer_need(grant.need_by, grant.events_seen);
   endpoint.request_outstanding = false;
   stats_.grants_received++;
   PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kGrant,
                 grant.safe_time, endpoint.index, grant.events_seen);
+}
+
+void ConservativeEngine::send_grant(ChannelEndpoint& c,
+                                    std::uint64_t request_id,
+                                    VirtualTime grant) {
+  c.granted_out = grant;
+  c.granted_out_seen = c.event_msgs_received;
+  c.send_message(SafeTimeGrant{.request_id = request_id,
+                               .safe_time = grant,
+                               .events_seen = c.granted_out_seen,
+                               .lookahead = c.reaction_lookahead,
+                               .need_by = need_on(c)});
+  stats_.grants_sent++;
+}
+
+VirtualTime ConservativeEngine::need_on(const ChannelEndpoint& c) const {
+  // With another channel, a relay builds the promises it makes there from
+  // this channel's grant, and a receive-only channel can deliver an event
+  // below any need declared here, unseen by this grantor: either way every
+  // improvement may be of use.  An optimistic channel never blocks on its
+  // grant and takes every floor; a replica member asks for everything too
+  // (see set_replica_member).
+  if (c.mode() != ChannelMode::kConservative || replica_member_ ||
+      ctx_.channels().size() > 1)
+    return VirtualTime::zero();
+  // A leaf's grant serves only the barrier and the horizon exit: a promise
+  // helps once it covers the next event, or the horizon when that comes
+  // first (an idle subsystem at a finite horizon leaves on it).
+  return min(ctx_.scheduler().next_event_time(), horizon_);
 }
 
 void ConservativeEngine::index_channels() {
@@ -138,8 +166,10 @@ void ConservativeEngine::price_grants(std::uint32_t first,
     VirtualTime bound = i == lowest_channel ? second : lowest;
     // Unconfirmed outputs already sent to the requester can still be
     // retracted at their recorded times if re-execution diverges: they
-    // bound the promise too (times are monotone, the first live entry is
-    // the min).
+    // bound the promise too.  The first live entry is the earliest: an
+    // execution sends in time order, and a re-execution appends only after
+    // consuming (at an equal stamp) or retracting every live entry of the
+    // tail, so live entries stay in time order.
     for (std::size_t k = c.replay_cursor; k < c.output_log.size(); ++k) {
       if (c.output_log[k].retracted) continue;
       bound = min(bound, c.output_log[k].time);
@@ -179,16 +209,13 @@ void ConservativeEngine::push_grants() {
     // an independently sound promise, and withholding the events_seen
     // acknowledgment froze the peer's unseen-send clamp forever, wedging
     // whole mixed-mode chains (fuzz_cluster seed 2).
-    if (grant > c.granted_out ||
-        c.event_msgs_received > c.granted_out_seen) {
-      c.granted_out = grant;
-      c.granted_out_seen = c.event_msgs_received;
-      c.send_message(SafeTimeGrant{.request_id = 0,
-                                   .safe_time = grant,
-                                   .events_seen = c.granted_out_seen,
-                                   .lookahead = c.reaction_lookahead});
-      stats_.grants_sent++;
-    }
+    if (grant <= c.granted_out && c.event_msgs_received <= c.granted_out_seen)
+      continue;
+    // ... but only once the peer can use it.  Below its need the peer's
+    // effective grant stays below the need however an acknowledgment moves
+    // its clamp, so a withheld push changes nothing it could act on.
+    if (grant < c.peer_need) continue;
+    send_grant(c, 0, grant);
   }
 }
 
@@ -234,7 +261,9 @@ void ConservativeEngine::on_blocked() {
       continue;
     c.last_request_next = next;
     c.last_request_grant = grant;
-    c.send_message(SafeTimeRequest{.request_id = c.next_request_id++});
+    c.send_message(SafeTimeRequest{.request_id = c.next_request_id++,
+                                   .need_by = need_on(c),
+                                   .events_seen = c.event_msgs_received});
     c.request_outstanding = true;
     stats_.requests_sent++;
     PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kGrantRequest,
@@ -244,7 +273,7 @@ void ConservativeEngine::on_blocked() {
 
 void ConservativeEngine::maybe_start_probe() {
   ChannelSet& channels = ctx_.channels();
-  if (!originate_probes_) return;
+  if (replica_member_) return;
   if (my_probe_ || terminate_received_) return;
   if (!ctx_.scheduler().idle()) return;
   // A mode negotiation is holding dispatch: the flush below would emit

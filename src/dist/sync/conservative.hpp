@@ -55,7 +55,12 @@ class ConservativeEngine {
   /// min over conservative channels of granted_in (the advance barrier).
   [[nodiscard]] VirtualTime barrier() const;
 
-  /// Pushes improved grants on all channels (null messages).
+  /// The run's horizon: it caps the needs this subsystem declares.  Set
+  /// before a run drains anything, so no declaration is made without it.
+  void set_horizon(VirtualTime horizon) { horizon_ = horizon; }
+
+  /// Pushes improved grants on all channels (null messages), each only
+  /// once it reaches the need the peer declared.
   void push_grants();
   void push_status_if_changed();
 
@@ -63,14 +68,22 @@ class ConservativeEngine {
   /// times from every conservative channel that restricts us.
   void on_blocked();
 
+  /// The need_by this subsystem declares on `c`: the earliest time at
+  /// which it can use a promise there.  Zero ("push everything") on an
+  /// optimistic channel, on a replica member, or when the subsystem has
+  /// another channel; else min(next event, horizon).
+  [[nodiscard]] VirtualTime need_on(const ChannelEndpoint& c) const;
+
   /// Starts a termination probe round if none is outstanding.
   void maybe_start_probe();
 
   /// Replica members must not ORIGINATE probes: a probe floods away from
   /// its arrival channel, and a replica leaf has only the one channel — its
   /// own round would confirm termination without consulting the sibling
-  /// clones.  Relaying and replying stay enabled.
-  void set_originate_probes(bool on) { originate_probes_ = on; }
+  /// clones.  Relaying and replying stay enabled.  They declare no need
+  /// either: the group passes its clones' declarations through last-wins,
+  /// and a dead leader's need would withhold what a lagging survivor needs.
+  void set_replica_member(bool on) { replica_member_ = on; }
 
   /// A peer's status report moved (it flipped idle, or its counters
   /// advanced): a probe round that failed on that peer's busyness can
@@ -133,6 +146,9 @@ class ConservativeEngine {
 
   static constexpr std::uint32_t kNoChannel = 0xFFFFFFFFu;
 
+  /// Records and sends one grant on `c` (request_id 0 for a push).
+  void send_grant(ChannelEndpoint& c, std::uint64_t request_id,
+                  VirtualTime grant);
   /// Prices the grants of channels [first, last) into grants_ in one pass.
   void price_grants(std::uint32_t first, std::uint32_t last);
   /// The channel `e` crosses on — a delivery to the channel's proxy on a
@@ -146,6 +162,9 @@ class ConservativeEngine {
   std::vector<std::uint32_t> proxy_channel_;
   std::vector<PortIndex> proxy_rx_;
   std::vector<VirtualTime> grants_;  // price_grants() output, per channel
+  /// set_horizon()'s value.  Zero until the first run: a declaration made
+  /// before then asks for every promise.
+  VirtualTime horizon_ = VirtualTime::zero();
   std::optional<ProbeRound> my_probe_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, RelayedProbe>
       relayed_probes_;
@@ -168,7 +187,7 @@ class ConservativeEngine {
   // otherwise block the confirming round forever).
   bool confirm_pending_ = false;
   bool terminate_received_ = false;
-  bool originate_probes_ = true;
+  bool replica_member_ = false;
 };
 
 }  // namespace pia::dist::sync

@@ -288,14 +288,7 @@ void RecoveryCoordinator::restore_image(BytesView image) {
 
     // Fresh process, fresh negotiation: grants, statuses and liveness all
     // restart from scratch, symmetrically with the recovering peer.
-    c.granted_in = VirtualTime::zero();
-    c.granted_in_seen = 0;
-    c.granted_in_lookahead = VirtualTime::zero();
-    c.granted_out = VirtualTime::zero();
-    c.granted_out_seen = 0;
-    c.request_outstanding = false;
-    c.last_request_next = VirtualTime::infinity();
-    c.last_request_grant = VirtualTime::infinity();
+    c.reset_grants();
     c.peer_status_seen = false;
     c.msgs_sent = 0;
     c.msgs_received = 0;

@@ -113,13 +113,7 @@ void SnapshotCoordinator::restore(std::uint64_t token) {
     if (i < pending.modes.size())
       c.restore_mode(pending.modes[i], pending.mode_epochs[i]);
     // Conservative promises describe the discarded future: re-negotiate.
-    c.granted_in = VirtualTime::zero();
-    c.granted_in_seen = 0;
-    c.granted_out = VirtualTime::zero();
-    c.granted_out_seen = 0;
-    c.request_outstanding = false;
-    c.last_request_next = VirtualTime::infinity();
-    c.last_request_grant = VirtualTime::infinity();
+    c.reset_grants();
     c.peer_status_seen = false;
     // Restart liveness from scratch: the peer may be mid-restart and the
     // old timers describe the abandoned timeline.

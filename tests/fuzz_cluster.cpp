@@ -39,6 +39,7 @@
 // into a ReplicaSet are refused "unsupported" and pin the channel fixed).
 //
 // Any failure prints the seed and the exact repro command, and exits 1.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -632,15 +633,26 @@ void arm_adaptive_scaleout(wubbleu::ScaleoutCluster& dut,
 }
 
 // Runs one replicated configuration and prints what broke the failover
-// contract (or, verbose, that it held).  Lets whatever the cluster throws
-// escape.
+// contract (or, verbose, that it held).  A kill-free run also reports the
+// frames the kill's target member handled (sends plus receives), the scale
+// its kill point is drawn on.  Lets whatever the cluster throws escape.
 bool check_replicas_config(std::uint64_t seed,
                            const wubbleu::ScaleoutSpec& spec, bool kill,
                            const wubbleu::ScaleoutResult& reference,
-                           bool verbose, bool adaptive) {
+                           bool verbose, bool adaptive,
+                           std::uint64_t& member_frames) {
   wubbleu::ScaleoutCluster dut(spec);
   if (adaptive) arm_adaptive_scaleout(dut, seed);
   const auto outcomes = dut.run();
+  if (!kill) {
+    const transport::LinkStats stats =
+        dut.replica_set(spec.replica_kill.shard)
+            .member(spec.replica_kill.member)
+            .channel(ChannelId{0})
+            .link()
+            .stats();
+    member_frames = stats.frames_sent + stats.frames_received;
+  }
   // The felled clone's wire dies under it: kDisconnected is its correct
   // exit.  Everyone else must reach clean quiescence.
   const std::string killed =
@@ -720,26 +732,34 @@ bool check_replicas_config(std::uint64_t seed,
   return ok;
 }
 
+// The kill configuration takes `member_frames` from the kill-free run of
+// the same case, and the kill point lands in its first sixteenth.  A fixed
+// budget could exceed the traffic of a member with few requests, and the
+// kill never fired.  The margin is wide because a member's frame count
+// varies between runs of one case: grants, statuses and renegotiation
+// depend on timing (--adaptive spread 713..5183 frames over eight runs).
 bool run_replicas_config(std::uint64_t seed, wubbleu::ScaleoutSpec spec,
                          bool aggregated, bool kill,
                          const wubbleu::ScaleoutResult& reference,
-                         bool verbose, std::size_t threads, bool adaptive) {
+                         bool verbose, std::size_t threads, bool adaptive,
+                         std::uint64_t& member_frames) {
   Rng salt(seed ^ 0x2E111CA7EDF00DULL);
   spec.aggregated = aggregated;
   spec.worker_threads = threads;
   spec.shard_replicas = 2 + salt.below(2);
+  spec.replica_kill.shard =
+      static_cast<std::uint32_t>(salt.below(spec.shards));
+  spec.replica_kill.member = salt.below(spec.shard_replicas);
   if (kill) {
-    spec.replica_kill.shard =
-        static_cast<std::uint32_t>(salt.below(spec.shards));
-    spec.replica_kill.member = salt.below(spec.shard_replicas);
-    spec.replica_kill.frames = 4 + salt.below(24);
+    spec.replica_kill.frames =
+        1 + salt.below(std::max<std::uint64_t>(1, member_frames / 16));
     spec.replica_kill.seed = seed;
   }
 
   bool ok = false;
   try {
     ok = check_replicas_config(seed, spec, kill, reference, verbose,
-                               adaptive);
+                               adaptive, member_frames);
   } catch (const std::exception& e) {
     std::printf("FAIL seed=%llu (replicas) K=%zu agg=%d kill=%d threads=%zu: "
                 "threw\n  %s\n",
@@ -769,10 +789,12 @@ bool run_replicas_seed(std::uint64_t seed, bool verbose, std::size_t threads,
   const wubbleu::ScaleoutResult reference = wubbleu::run_single_host(spec);
 
   bool ok = true;
-  for (const bool aggregated : {true, false})
+  for (const bool aggregated : {true, false}) {
+    std::uint64_t member_frames = 0;
     for (const bool kill : {false, true})
       ok &= run_replicas_config(seed, spec, aggregated, kill, reference,
-                                verbose, threads, adaptive);
+                                verbose, threads, adaptive, member_frames);
+  }
   return ok;
 }
 

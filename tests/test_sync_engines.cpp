@@ -15,8 +15,10 @@
 #include "core/checkpoint.hpp"
 #include "core/scheduler.hpp"
 #include "dist/channel_set.hpp"
+#include "dist/sync/adaptive.hpp"
 #include "dist/sync/conservative.hpp"
 #include "dist/sync/optimistic.hpp"
+#include "dist/sync/recovery.hpp"
 #include "dist/sync/snapshot.hpp"
 #include "transport/link.hpp"
 
@@ -344,6 +346,384 @@ TEST(SyncConservative, OnePassPricingMatchesPerChannelReference) {
       for (std::uint64_t k = 0; k < more; ++k) queue_event(random_stamp(rng));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Unseen-send clamp
+// ---------------------------------------------------------------------------
+
+// A conservative channel whose sender was rolled back by a straggler on
+// another channel: it sent 4631, rolled back to 4035, and re-sent 4185
+// and then 4631.  Lazy cancellation retracted the first 4631, so the
+// first unseen log entry is the retracted one; the clamp must come from
+// the earliest unseen send, 4185.
+TEST(SyncConservative, UnseenSendClampSeesReSentEarlierEvent) {
+  StubContext ctx;
+  const ChannelId a = ctx.add_channel(ChannelMode::kConservative);
+  ChannelEndpoint& ea = ctx.channels().at(a);
+  OptimisticEngine& optimistic = ctx.optimistic();
+  const auto send = [&](VirtualTime t) {
+    if (!optimistic.suppress_regeneration(ea, 0, Value{t.ticks()}, t)) {
+      ea.send_event(0, Value{t.ticks()}, t);
+      ea.replay_cursor = ea.output_log.size();
+    }
+  };
+  for (const VirtualTime::rep t : {1000, 2000, 3000, 4631}) send(ticks(t));
+  ctx.conservative().on_grant(
+      a, SafeTimeGrant{.safe_time = VirtualTime::infinity(),
+                       .events_seen = 3,
+                       .lookahead = ticks(400)});
+  EXPECT_EQ(ea.effective_grant(), ticks(5031));
+
+  ea.replay_cursor = 3;  // rollback to 4035: the 4631 send is unconfirmed
+  send(ticks(4185));     // diverges: retracts 4631, sends 4185
+  send(ticks(4631));
+  ASSERT_EQ(ea.output_log.size(), 6u);
+  EXPECT_TRUE(ea.output_log[3].retracted);
+  EXPECT_EQ(ea.effective_grant(), ticks(4585));
+}
+
+// Randomized send / dispatch / checkpoint / rollback / grant sequences on
+// one endpoint, driven through the optimistic engine's lazy cancellation.
+// The clamp must equal a brute force over every send the peer had not
+// seen, and never exceed the earliest unseen LIVE send.  Live entries stay
+// in time order, which is what price_grants' first-live-entry bound on
+// the unconfirmed tail relies on.
+TEST(SyncConservative, UnseenSendClampMatchesBruteForce) {
+  Rng rng(0xC1A3Fu);
+  for (int round = 0; round < 300; ++round) {
+    StubContext ctx;
+    const ChannelId a = ctx.add_channel(ChannelMode::kConservative);
+    ChannelEndpoint& ea = ctx.channels().at(a);
+    OptimisticEngine& optimistic = ctx.optimistic();
+    std::vector<VirtualTime> sent;  // every send, in send order
+    struct Checkpoint {
+      std::size_t cursor;
+      VirtualTime time;
+    };
+    std::vector<Checkpoint> checkpoints{{0, VirtualTime::zero()}};
+    VirtualTime now = VirtualTime::zero();
+    std::uint64_t seen = 0;
+    for (int step = 0; step < 60; ++step) {
+      const std::uint64_t op = rng.below(10);
+      if (op < 6) {
+        // Dispatch at `t`: unregenerated outputs older than it retract
+        // first, then the event may send (identical to an earlier
+        // execution's send most of the time, diverging sometimes).
+        const VirtualTime t =
+            now + ticks(static_cast<VirtualTime::rep>(rng.below(4)));
+        optimistic.flush_unregenerated(t);
+        now = t;
+        if (rng.chance(0.7)) {
+          const Value value{rng.chance(0.8) ? t.ticks() : rng.below(1000)};
+          if (!optimistic.suppress_regeneration(ea, 0, value, t)) {
+            ea.send_event(0, value, t);
+            ea.replay_cursor = ea.output_log.size();
+            sent.push_back(t);
+          }
+        }
+        if (rng.chance(0.25)) checkpoints.push_back({ea.replay_cursor, now});
+      } else if (op < 8) {
+        const std::size_t k = rng.below(checkpoints.size());
+        ea.replay_cursor = std::min(ea.replay_cursor, checkpoints[k].cursor);
+        now = checkpoints[k].time;
+        checkpoints.resize(k + 1);
+      } else {
+        seen += rng.below(sent.size() - seen + 1);
+        const std::uint64_t shape = rng.below(8);
+        ctx.conservative().on_grant(
+            a, SafeTimeGrant{
+                   .safe_time = rng.chance(0.2)
+                                    ? VirtualTime::infinity()
+                                    : now + ticks(static_cast<VirtualTime::rep>(
+                                                rng.below(40))),
+                   .events_seen = seen,
+                   .lookahead = shape == 0 ? VirtualTime::infinity()
+                                           : ticks(static_cast<VirtualTime::rep>(
+                                                 rng.below(10))),
+                   .need_by = now + ticks(static_cast<VirtualTime::rep>(
+                                        rng.below(20)))});
+      }
+
+      VirtualTime unseen = VirtualTime::infinity();
+      for (std::size_t k = seen; k < sent.size(); ++k)
+        unseen = min(unseen, sent[k]);
+      VirtualTime live = VirtualTime::infinity();
+      VirtualTime last_live = VirtualTime::zero();
+      for (std::size_t k = 0; k < ea.output_log.size(); ++k) {
+        const auto& record = ea.output_log[k];
+        if (record.retracted) continue;
+        ASSERT_GE(record.time, last_live) << "round " << round;
+        last_live = record.time;
+        if (k >= seen) live = min(live, record.time);
+      }
+      ASSERT_EQ(ea.earliest_unseen_send(seen), unseen)
+          << "round " << round << " step " << step;
+      ASSERT_EQ(ea.effective_grant(),
+                min(ea.granted_in, unseen + ea.granted_in_lookahead))
+          << "round " << round << " step " << step;
+      ASSERT_LE(ea.effective_grant(),
+                min(ea.granted_in, live + ea.granted_in_lookahead));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Demand-driven grant pushes (need_by)
+// ---------------------------------------------------------------------------
+
+/// Queues plain local work at `time` on a component of the stub scheduler.
+void queue_work(StubContext& ctx, VirtualTime time) {
+  Scheduler& scheduler = ctx.scheduler();
+  ComponentId worker;
+  for (const ComponentId id : scheduler.component_ids())
+    if (scheduler.component(id).name() == "worker") worker = id;
+  if (!worker.valid())
+    worker = scheduler.add(std::make_unique<ChannelComponent>("worker"));
+  scheduler.inject(Event{.time = time, .target = worker, .port = 0});
+}
+
+std::vector<SafeTimeGrant> grants_in(const std::vector<ChannelMessage>& sent) {
+  std::vector<SafeTimeGrant> grants;
+  for (const auto& message : sent)
+    if (const auto* grant = std::get_if<SafeTimeGrant>(&message))
+      grants.push_back(*grant);
+  return grants;
+}
+
+TEST(SyncNeed, LeafDeclaresNextOrHorizonRelayDeclaresZero) {
+  StubContext ctx;
+  const ChannelId a = ctx.add_channel(ChannelMode::kConservative);
+  ConservativeEngine& engine = ctx.conservative();
+  const ChannelEndpoint& ea = ctx.channels().at(a);
+
+  // Before any run a leaf asks for everything.  An idle leaf can then use
+  // only an infinite promise, or one reaching the horizon it exits at; a
+  // queued event lowers the need to its stamp.
+  EXPECT_EQ(engine.need_on(ea), VirtualTime::zero());
+  engine.set_horizon(VirtualTime::infinity());
+  EXPECT_TRUE(engine.need_on(ea).is_infinite());
+  engine.set_horizon(ticks(500));
+  EXPECT_EQ(engine.need_on(ea), ticks(500));
+  engine.push_grants();
+  const auto pushed = grants_in(ctx.sent_on(0));
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_EQ(pushed[0].need_by, ticks(500));
+  queue_work(ctx, ticks(70));
+  EXPECT_EQ(engine.need_on(ea), ticks(70));
+
+  // A replica member's group passes needs through last-wins: zero.
+  engine.set_replica_member(true);
+  EXPECT_EQ(engine.need_on(ea), VirtualTime::zero());
+  engine.set_replica_member(false);
+
+  // An optimistic channel never blocks on its floor: zero.
+  ctx.channels().at(a).set_mode(ChannelMode::kOptimistic);
+  EXPECT_EQ(engine.need_on(ea), VirtualTime::zero());
+  ctx.channels().at(a).set_mode(ChannelMode::kConservative);
+
+  // A second channel that can send events makes this a relay: it builds
+  // promises there from a's grant, so it takes every improvement.
+  const ChannelId b = ctx.add_channel(ChannelMode::kConservative);
+  EXPECT_EQ(engine.need_on(ea), VirtualTime::zero());
+  EXPECT_EQ(engine.need_on(ctx.channels().at(b)), VirtualTime::zero());
+
+  // So does a receive-only one: its peer can deliver an event below any
+  // need declared on a, and a's grantor would never see it.
+  ctx.channels().at(b).can_send_events = false;
+  EXPECT_EQ(engine.need_on(ea), VirtualTime::zero());
+}
+
+TEST(SyncNeed, PushesBelowThePeerNeedAreWithheld) {
+  StubContext ctx;
+  const ChannelId a = ctx.add_channel(ChannelMode::kConservative);
+  ConservativeEngine& engine = ctx.conservative();
+  ChannelEndpoint& ea = ctx.channels().at(a);
+  queue_work(ctx, ticks(40));  // our promise to a: 40
+
+  engine.on_grant(a, SafeTimeGrant{.safe_time = ticks(10),
+                                   .lookahead = ticks(0),
+                                   .need_by = ticks(50)});
+  EXPECT_EQ(ea.peer_need, ticks(50));
+  engine.push_grants();
+  EXPECT_TRUE(ctx.sent_on(0).empty());
+  EXPECT_EQ(ea.granted_out, VirtualTime::zero());
+
+  // An acknowledgment-only push below the need is withheld too.
+  ea.event_msgs_received = 1;
+  engine.push_grants();
+  EXPECT_TRUE(ctx.sent_on(0).empty());
+
+  // The push that reaches the need goes out, acknowledgment included.
+  ea.lookahead = ticks(10);
+  engine.push_grants();
+  const auto pushed = grants_in(ctx.sent_on(0));
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_EQ(pushed[0].safe_time, ticks(50));
+  EXPECT_EQ(pushed[0].events_seen, 1u);
+  EXPECT_EQ(pushed[0].request_id, 0u);
+}
+
+TEST(SyncNeed, SendsLowerTheNeedAndDeclarationsClampToUnseenSends) {
+  StubContext ctx;
+  const ChannelId a = ctx.add_channel(ChannelMode::kConservative);
+  ConservativeEngine& engine = ctx.conservative();
+  ChannelEndpoint& ea = ctx.channels().at(a);
+
+  engine.on_grant(a, SafeTimeGrant{.safe_time = ticks(0),
+                                   .lookahead = ticks(0),
+                                   .need_by = ticks(90)});
+  EXPECT_EQ(ea.peer_need, ticks(90));
+  // The peer will hold our event at 60 before it can say anything else.
+  ea.send_event(0, Value{std::uint64_t{1}}, ticks(60));
+  ea.send_event(0, Value{std::uint64_t{2}}, ticks(30));
+  EXPECT_EQ(ea.peer_need, ticks(30));
+
+  // A need declared before the peer saw those sends is clamped to the
+  // earliest of them, which is not the first.
+  engine.on_grant(a, SafeTimeGrant{.safe_time = ticks(0),
+                                   .events_seen = 0,
+                                   .lookahead = ticks(0),
+                                   .need_by = ticks(80)});
+  EXPECT_EQ(ea.peer_need, ticks(30));
+  engine.on_grant(a, SafeTimeGrant{.safe_time = ticks(0),
+                                   .events_seen = 2,
+                                   .lookahead = ticks(0),
+                                   .need_by = ticks(80)});
+  EXPECT_EQ(ea.peer_need, ticks(80));
+  // Requests declare too.
+  engine.on_request(a, SafeTimeRequest{.request_id = 1,
+                                       .need_by = ticks(85),
+                                       .events_seen = 1});
+  EXPECT_EQ(ea.peer_need, ticks(30));
+}
+
+TEST(SyncNeed, RequestBelowTheNeedIsAnsweredByThePushThatReachesIt) {
+  StubContext ctx;
+  const ChannelId a = ctx.add_channel(ChannelMode::kConservative);
+  ConservativeEngine& engine = ctx.conservative();
+  ChannelEndpoint& ea = ctx.channels().at(a);
+  queue_work(ctx, ticks(40));
+
+  engine.on_request(a, SafeTimeRequest{.request_id = 7,
+                                       .need_by = ticks(45)});
+  EXPECT_TRUE(ctx.sent_on(0).empty());
+  engine.push_grants();
+  EXPECT_TRUE(ctx.sent_on(0).empty());
+
+  ea.lookahead = ticks(5);
+  engine.push_grants();
+  const auto pushed = grants_in(ctx.sent_on(0));
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_EQ(pushed[0].safe_time, ticks(45));
+
+  // A request the grant already covers is answered at once, by id.
+  engine.on_request(a, SafeTimeRequest{.request_id = 8,
+                                       .need_by = ticks(45),
+                                       .events_seen = 0});
+  const auto replied = grants_in(ctx.sent_on(0));
+  ASSERT_EQ(replied.size(), 1u);
+  EXPECT_EQ(replied[0].request_id, 8u);
+
+  // On the requesting side any grant ends the outstanding request.
+  ea.request_outstanding = true;
+  engine.on_grant(a, SafeTimeGrant{.request_id = 0,
+                                   .safe_time = ticks(45),
+                                   .lookahead = ticks(0)});
+  EXPECT_FALSE(ea.request_outstanding);
+}
+
+TEST(SyncNeed, RequestAnsweredBeforeAnyPushStillGetsTheHorizonGrant) {
+  // An idle leaf at horizon 500 answers its grantor's request before it
+  // has pushed anything (a run slice drains before it pushes).
+  StubContext leaf;
+  const ChannelId la = leaf.add_channel(ChannelMode::kConservative);
+  leaf.conservative().set_horizon(ticks(500));
+  leaf.conservative().on_request(la, SafeTimeRequest{.request_id = 1});
+  const auto replied = grants_in(leaf.sent_on(0));
+  ASSERT_EQ(replied.size(), 1u);
+  EXPECT_EQ(replied[0].need_by, ticks(500));
+
+  // Its grantor's next event lies past the horizon.  The leaf never blocks
+  // or requests again (it has nothing below the horizon), so the grantor's
+  // push is the only way it can reach kHorizon: it must go out.
+  StubContext grantor;
+  const ChannelId ga = grantor.add_channel(ChannelMode::kConservative);
+  queue_work(grantor, ticks(800));
+  grantor.conservative().on_grant(ga, replied[0]);
+  grantor.conservative().push_grants();
+  const auto pushed = grants_in(grantor.sent_on(0));
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_GE(pushed[0].safe_time, ticks(500));
+}
+
+/// Gives every channel of `ctx` a non-zero recorded need.
+void raise_needs(StubContext& ctx) {
+  for (auto& c : ctx.channels()) c->peer_need = ticks(300);
+}
+
+void expect_needs_reset(StubContext& ctx) {
+  for (const auto& c : ctx.channels())
+    EXPECT_EQ(c->peer_need, VirtualTime::zero()) << c->name();
+}
+
+TEST(SyncNeed, NeedsResetOnSnapshotRestoreRecoveryAndModeFlip) {
+  StubContext ctx;
+  const ChannelId a = ctx.add_channel(ChannelMode::kConservative);
+  SnapshotCoordinator& snap = ctx.snapshot();
+  const std::uint64_t token = snap.initiate();
+  snap.on_mark(a, MarkMsg{.token = token});
+  ASSERT_TRUE(snap.complete(token));
+
+  raise_needs(ctx);
+  snap.restore(token);
+  expect_needs_reset(ctx);
+
+  RecoveryCoordinator recovery(ctx);
+  const Bytes image = recovery.export_image(token);
+  raise_needs(ctx);
+  recovery.restore_image(image);
+  expect_needs_reset(ctx);
+
+  // The acceptor side of a flip to optimistic.
+  AdaptiveController adaptive(ctx);
+  adaptive.enable(AdaptivePolicy{});
+  raise_needs(ctx);
+  const std::uint64_t nonce = (std::uint64_t{3} << 32) | 1;
+  adaptive.on_proposal(
+      a, ModeProposalMsg{
+             .nonce = nonce,
+             .epoch = ctx.channels().at(a).mode_epoch(),
+             .target = static_cast<std::uint8_t>(ChannelMode::kOptimistic)});
+  adaptive.on_commit(a, ModeCommitMsg{.nonce = nonce, .token = token});
+  ASSERT_EQ(ctx.channels().at(a).mode(), ChannelMode::kOptimistic);
+  expect_needs_reset(ctx);
+}
+
+// ---------------------------------------------------------------------------
+// Wire format
+// ---------------------------------------------------------------------------
+
+TEST(SyncProtocol, NeedByRoundTrips) {
+  const SafeTimeRequest request{
+      .request_id = 5, .need_by = ticks(1234), .events_seen = 17};
+  const auto decoded_request =
+      std::get<SafeTimeRequest>(decode_message(encode_message(request)));
+  EXPECT_EQ(decoded_request.request_id, 5u);
+  EXPECT_EQ(decoded_request.need_by, ticks(1234));
+  EXPECT_EQ(decoded_request.events_seen, 17u);
+
+  const SafeTimeGrant grant{.request_id = 5,
+                            .safe_time = ticks(99),
+                            .events_seen = 3,
+                            .lookahead = ticks(4),
+                            .need_by = VirtualTime::infinity()};
+  const auto decoded_grant =
+      std::get<SafeTimeGrant>(decode_message(encode_message(grant)));
+  EXPECT_EQ(decoded_grant.safe_time, ticks(99));
+  EXPECT_EQ(decoded_grant.events_seen, 3u);
+  EXPECT_EQ(decoded_grant.lookahead, ticks(4));
+  EXPECT_TRUE(decoded_grant.need_by.is_infinite());
 }
 
 // ---------------------------------------------------------------------------
