@@ -24,11 +24,11 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "dist/node.hpp"
+#include "transport/ready.hpp"
 #include "../tests/helpers.hpp"
 
 using namespace pia;
@@ -54,7 +54,10 @@ class IoRelay : public Component {
   }
 
   void on_receive(PortIndex, const Value& value) override {
-    std::this_thread::sleep_for(io_);  // the hardware round-trip
+    // The hardware round-trip, through the library's one sleep: every
+    // layout (w1, pooled, legacy) then waits with the same 1 ns timer slack,
+    // and the worker-count comparison measures overlap alone.
+    transport::poll_until({}, std::chrono::steady_clock::now() + io_);
     advance(ticks(1));
     send(out_, Value{value.as_word() + 1});
   }

@@ -52,17 +52,39 @@ inline double timed(const std::function<void()>& fn) {
   return timer.seconds();
 }
 
+/// The commit the bench ran from: `git rev-parse HEAD` in the working
+/// directory, with "-dirty" appended when tracked files differ from it, or
+/// "unknown" outside a checkout.
+inline std::string host_git_sha() {
+  const auto run = [](const char* command, std::string& out) {
+    FILE* pipe = ::popen(command, "r");
+    if (pipe == nullptr) return false;
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+    return ::pclose(pipe) == 0;
+  };
+  std::string sha;
+  if (!run("git rev-parse HEAD 2>/dev/null", sha) || sha.size() < 40)
+    return "unknown";
+  sha.resize(40);
+  std::string ignored;
+  if (!run("git diff --quiet HEAD -- 2>/dev/null", ignored)) sha += "-dirty";
+  return sha;
+}
+
 /// The machine-readable side of a bench run.  Collects flat metrics (and
 /// optionally an embedded obs::MetricsRegistry snapshot) and writes
 /// BENCH_<name>.json to the working directory when write() is called — or
 /// on destruction, so a bench cannot forget to emit its record.
 class JsonReport {
  public:
-  /// Every record starts stamped with its host: core count and build type.
+  /// Every record starts stamped with its host: core count, build type and
+  /// commit.
   explicit JsonReport(std::string name) : name_(std::move(name)) {
     metric("host_nproc",
            static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
     text("host_build_type", PIA_BENCH_BUILD_TYPE);
+    text("host_git_sha", host_git_sha());
   }
 
   JsonReport(const JsonReport&) = delete;

@@ -4,8 +4,8 @@
 // them at once: every link shares one ReadySignal (in-process queues pulse
 // it) and contributes its kernel fd (sockets), so wait_any() is a single
 // transport::poll_until whose wake latency is independent of the channel
-// count, and whose sleep ends at a decorator's release stamp to the
-// nanosecond rather than at the next whole millisecond.  The old
+// count, and whose sleep ends a few µs after a decorator's release stamp
+// (see poll_until) rather than at the next whole millisecond.  The old
 // run-loop idle path scanned the channels sequentially with a 1 ms blocking
 // receive each — worst case N × 1 ms before noticing traffic on the last
 // channel.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
+#include "transport/ready.hpp"
 
 namespace pia::transport {
 namespace {
@@ -198,10 +198,10 @@ class FaultLink final : public Link {
     if (release > now) {
       if (!may_wait) return std::nullopt;
       if (release > deadline) {
-        std::this_thread::sleep_until(deadline);
+        poll_until({}, deadline);
         return std::nullopt;
       }
-      std::this_thread::sleep_until(release);
+      poll_until({}, release);
     }
     Bytes out = std::move(*pending_);
     pending_.reset();

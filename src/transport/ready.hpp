@@ -14,11 +14,17 @@
 // composes with ::poll over socket fds, and drain() empties the doorbell
 // before a wait so stale pulses don't cause busy spinning.
 //
-// poll_until is the one sleep every idle path in the library goes through:
-// link receives, the subsystem wait and the pooled executor wait.  It sleeps
-// to a steady-clock deadline at nanosecond resolution (ppoll), because the
-// deadlines it serves are mostly decorator release stamps ~100 µs out — a
-// millisecond poll timeout rounded each of those up to a full 1 ms.
+// poll_until is the one sleep in the library: link receives, decorator
+// release waits, connect backoff, the subsystem wait and the pooled executor
+// wait all go through it.  The deadlines it serves are mostly decorator
+// release stamps ~100 µs out, so two things must not stretch them:
+//   * the timeout's unit: it sleeps with ppoll and a nanosecond timespec (a
+//     millisecond poll timeout rounded each wait up to a full 1 ms);
+//   * the thread's timer slack: Linux ends a timed sleep up to the slack
+//     late, 50 µs by default, so a 100 µs hop cost ~155 µs.  poll_until sets
+//     the calling thread's slack to 1 ns before its first blocking sleep.
+//     The thread keeps that slack afterwards (and threads it spawns inherit
+//     it); the kernel still wakes it a few µs after the deadline.
 #pragma once
 
 #include <poll.h>
@@ -31,9 +37,11 @@ namespace pia::transport {
 
 /// Waits until an entry of `fds` is ready or `deadline` passes.  Returns the
 /// number of ready entries, or 0 once the deadline has passed with none.
-/// Always polls at least once, so a past deadline is a non-blocking check.
-/// EINTR is retried until the deadline; any other poll failure raises
-/// Error{kTransport}.  Non-Linux builds round the remaining wait up to whole
+/// Always polls at least once, so a past deadline is a non-blocking check;
+/// with empty `fds` it is a plain sleep to `deadline`.  EINTR is retried
+/// until the deadline; any other poll failure raises Error{kTransport}.  On
+/// Linux the first blocking call on a thread sets its timer slack to 1 ns
+/// (see above).  Non-Linux builds round the remaining wait up to whole
 /// milliseconds (never early, up to 1 ms late).
 int poll_until(std::span<pollfd> fds,
                std::chrono::steady_clock::time_point deadline);

@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <cstring>
 #include <future>
-#include <thread>
 
 #include "base/error.hpp"
 #include "base/log.hpp"
@@ -199,9 +198,10 @@ LinkPtr tcp_connect(std::uint16_t port, std::chrono::milliseconds deadline) {
     // Sleep a uniform draw from [backoff/2, backoff]: desynchronizes
     // reconnect storms without stretching the expected wait much.
     const auto half = backoff.count() / 2;
-    std::this_thread::sleep_for(std::chrono::microseconds(
+    const std::chrono::microseconds pause(
         half + static_cast<std::int64_t>(
-                   jitter.below(static_cast<std::uint64_t>(half) + 1))));
+                   jitter.below(static_cast<std::uint64_t>(half) + 1)));
+    poll_until({}, std::chrono::steady_clock::now() + pause);
     backoff = std::min(backoff * 2, kBackoffCap);
   }
 }

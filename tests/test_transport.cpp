@@ -5,12 +5,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -24,6 +30,7 @@
 #include "transport/frame.hpp"
 #include "transport/latency.hpp"
 #include "transport/link.hpp"
+#include "transport/ready.hpp"
 #include "transport/tcp.hpp"
 
 namespace pia::transport {
@@ -454,6 +461,90 @@ TEST(Fault, RecvForWaitsOutTheFullTimeout) {
     EXPECT_GE(std::chrono::steady_clock::now() - t0, timeout);
   }
 }
+
+#ifdef __linux__
+// Timer slack: Linux ends a timed sleep up to the thread's slack late (50 µs
+// by default), so every library sleep runs with 1 ns.  These tests read the
+// slack back instead of timing the wake-up, which would flake under load.
+
+constexpr unsigned long kDefaultSlackNs = 50'000;
+
+unsigned long timer_slack() {
+  return static_cast<unsigned long>(
+      ::prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL));
+}
+
+/// Runs `body` on a fresh thread whose slack starts at the Linux default and
+/// returns the thread's slack afterwards.  (A new thread inherits its
+/// creator's slack, which an earlier library sleep may have lowered.)
+unsigned long slack_after(const std::function<void()>& body) {
+  unsigned long slack = 0;
+  std::thread thread([&] {
+    ::prctl(PR_SET_TIMERSLACK, kDefaultSlackNs, 0UL, 0UL, 0UL);
+    ASSERT_EQ(timer_slack(), kDefaultSlackNs);
+    body();
+    slack = timer_slack();
+  });
+  thread.join();
+  return slack;
+}
+
+TEST(TimerSlack, PollUntilSleepsWithOneNanosecondSlack) {
+  // A past deadline is a non-blocking check and leaves the thread alone...
+  const unsigned long after_check = slack_after(
+      [] { poll_until({}, std::chrono::steady_clock::now() - 1ms); });
+  EXPECT_EQ(after_check, kDefaultSlackNs);
+  // ...a future one sleeps, and the thread keeps 1 ns slack afterwards.
+  const unsigned long after_sleep = slack_after(
+      [] { poll_until({}, std::chrono::steady_clock::now() + 1ms); });
+  EXPECT_EQ(after_sleep, 1u);
+}
+
+TEST(TimerSlack, FaultLinkReleaseWaitSleepsWithOneNanosecondSlack) {
+  // Both ways recv_for waits on a parked frame: out to its release stamp,
+  // and out to the caller's deadline when the stamp lies beyond it.  (The
+  // first arm assumes the thread gets from send to recv_for within 250 ms.)
+  auto pair = latency_pair(LatencyModel{.base = 250ms});
+  const unsigned long to_stamp = slack_after([&] {
+    pair.a->send(to_bytes("hop"));
+    const auto msg = pair.b->recv_for(5000ms);
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(to_string(*msg), "hop");
+  });
+  EXPECT_EQ(to_stamp, 1u);
+
+  auto far = latency_pair(LatencyModel{.base = 60s});
+  far.a->send(to_bytes("late"));
+  const unsigned long to_deadline =
+      slack_after([&] { EXPECT_FALSE(far.b->recv_for(2ms).has_value()); });
+  EXPECT_EQ(to_deadline, 1u);
+}
+
+TEST(TimerSlack, FaultLinkNeverReleasesAFrameBeforeItsStamp) {
+  // With 1 ns slack a wait ends closer to its deadline; it must still never
+  // end before it.  Lower bounds only: each frame's stamp is at least its
+  // send time plus the base latency.  Odd frames go through try_recv.
+  auto pair = latency_pair(LatencyModel{.base = 2ms, .jitter_max = 1ms}, 7);
+  const unsigned long slack = slack_after([&] {
+    for (int i = 0; i < 20; ++i) {
+      const auto sent = std::chrono::steady_clock::now();
+      pair.a->send(to_bytes(std::to_string(i)));
+      std::optional<Bytes> msg;
+      if (i % 2 == 0) {
+        msg = pair.b->recv_for(5000ms);
+      } else {
+        while (!(msg = pair.b->try_recv()))
+          poll_until({}, std::chrono::steady_clock::now() + 50us);
+      }
+      ASSERT_TRUE(msg.has_value()) << "lost frame " << i;
+      EXPECT_EQ(to_string(*msg), std::to_string(i));
+      EXPECT_GE(std::chrono::steady_clock::now() - sent, 2ms)
+          << "frame " << i << " released before its stamp";
+    }
+  });
+  EXPECT_EQ(slack, 1u);
+}
+#endif
 
 TEST(Fault, TcpLinkCanBeDecorated) {
   TcpListener listener(0);

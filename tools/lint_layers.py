@@ -46,6 +46,12 @@ Two scale-out seams carry their own rules:
     (dist/executor.hpp); thread placement is chosen via NodeCluster options,
     never by reaching into the pool directly.
 
+One rule covers how the library sleeps: transport::poll_until is its one
+timed sleep (it sets the thread's timer slack so a wait ends at its
+deadline), so sleep_for, sleep_until, nanosleep and usleep may be called in
+src/ only from transport/ready.cpp.  Condition-variable waits are
+notify-driven and not covered.
+
 Run from anywhere: paths are resolved relative to this script.  Exits 0 when
 clean, 1 with one line per violation otherwise.
 """
@@ -89,6 +95,9 @@ EXECUTOR_DIST_ALLOWED = {
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
+SLEEP_RE = re.compile(r"\b(sleep_for|sleep_until|nanosleep|usleep)\s*\(")
+SLEEP_HOME = SRC / "transport" / "ready.cpp"
+
 
 def first_party_includes(path):
     for line_number, line in enumerate(
@@ -111,6 +120,22 @@ def check_directory_dag(path, layer, errors):
             errors.append(
                 f"{path}:{line_number}: layer violation: {layer}/ must not "
                 f'include "{inc}" (allowed: {sorted(ALLOWED[layer])})'
+            )
+
+
+def check_sleeps(path, errors):
+    if path == SLEEP_HOME:
+        return
+    for line_number, line in enumerate(
+        path.read_text().splitlines(), start=1
+    ):
+        code = line.split("//", 1)[0]
+        match = SLEEP_RE.search(code)
+        if match:
+            errors.append(
+                f"{path}:{line_number}: raw {match.group(1)}() outside "
+                f"transport/ready.cpp; sleep through transport::poll_until "
+                f"(an empty fd set sleeps to the deadline)"
             )
 
 
@@ -208,6 +233,7 @@ def main():
                 continue
             checked += 1
             check_directory_dag(path, layer, errors)
+            check_sleeps(path, errors)
             if path.parent.name == "sync":
                 check_engine(path, errors)
             if layer == "dist" and path.name.split(".")[0] == "executor":
