@@ -1,9 +1,9 @@
 // Microbenchmarks of the kernel primitives (google-benchmark).
 //
 // These are the constants everything else is built from: event dispatch,
-// serialization, checkpoint capture/restore, delta encoding, protocol
-// rendering, the frame codec, and how late the library's one idle sleep
-// wakes.
+// the event queue under a word-passage burst, serialization, checkpoint
+// capture/restore, delta encoding, protocol rendering, the frame codec, and
+// how late the library's one idle sleep wakes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 
 #include "base/rng.hpp"
 #include "core/checkpoint.hpp"
+#include "core/event_queue.hpp"
 #include "core/protocols.hpp"
 #include "core/scheduler.hpp"
 #include "transport/frame.hpp"
@@ -40,6 +41,39 @@ void BM_EventDispatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventDispatch);
+
+// The word-passage shape: one handler schedules a page as N word sends at
+// rising stamps, a few events land out of order among them, and the
+// scheduler drains the lot.  Items are events pushed and popped.
+void BM_EventQueueBurst(benchmark::State& state) {
+  constexpr std::uint64_t kOutOfOrder = 8;
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  EventQueue queue;
+  Event event;
+  event.target = ComponentId{1};
+  event.port = 0;
+  std::uint64_t seq = 0;
+  VirtualTime::rep base = 0;
+  for (auto _ : state) {
+    for (std::uint64_t k = 0; k < n; ++k) {
+      event.time = ticks(base + static_cast<VirtualTime::rep>(10 * k));
+      event.seq = seq++;
+      event.value = Value{k};
+      queue.push(event);
+    }
+    for (std::uint64_t k = 0; k < kOutOfOrder; ++k) {
+      event.time = ticks(base + static_cast<VirtualTime::rep>(
+                                    10 * n * k / kOutOfOrder + 5));
+      event.seq = seq++;
+      queue.push(event);
+    }
+    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop());
+    base += static_cast<VirtualTime::rep>(10 * n);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n + kOutOfOrder));
+}
+BENCHMARK(BM_EventQueueBurst)->Arg(1024)->Arg(16384);
 
 void BM_ValueSerialize(benchmark::State& state) {
   const Value value{Bytes(static_cast<std::size_t>(state.range(0)))};

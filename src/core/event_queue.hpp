@@ -1,18 +1,34 @@
-// Contiguous event priority queue.
+// Contiguous two-lane event priority queue.
 //
-// The scheduler's hot loop is push/pop on the pending-event set.  A
-// std::multiset pays a red-black-tree node allocation per event and chases
-// pointers on every comparison; this 4-ary min-heap keeps all events in one
-// vector, so pushes are an append + sift-up and pops touch at most a few
-// cache lines per level.  Keys are the existing (time, seq) pair — seq is a
-// per-scheduler monotone counter, so keys are unique and the heap's pop
-// order is exactly the multiset's iteration order: dispatch stays
-// bit-identical, which checkpoint/rollback and the distributed fuzzer's
-// oracle comparisons depend on.
+// The scheduler's hot loop is push/pop on the pending-event set, keyed by
+// (time, seq).  seq is a per-scheduler monotone counter, so keys are unique
+// and there is exactly one dispatch order: the iteration order of the
+// std::multiset this queue replaced.  Checkpoint/rollback and the
+// distributed fuzzer's oracle comparisons depend on that order staying
+// bit-identical.
+//
+// Most pushes arrive in order: a handler that streams a page word by word
+// schedules each send after the last, so nearly every key lands at or past
+// the newest queued one.  The queue therefore keeps two lanes:
+//
+//   * the run: a vector sorted by key, consumed from a head index.  A push
+//     whose key is not below the run's last key is an append, and taking
+//     the run's head is an index bump: O(1) each, no sift.
+//   * the heap: a 4-ary min-heap over one vector for every other push.
+//
+// top()/pop() take the smaller of the two lane heads.  Each lane yields its
+// events in exact key order and keys are unique, so the merged pop order is
+// the multiset's order whichever lane an event sits in.
+//
+// Memory stays proportional to the live events: the run drops its consumed
+// prefix when it empties and, while it never empties, as soon as the prefix
+// is at least half the vector.  That compaction moves no more events than
+// were popped since the last one, so it costs O(1) amortized per pop.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -22,29 +38,56 @@ namespace pia {
 
 class EventQueue {
  public:
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return heap_.empty() && run_.empty(); }
+  [[nodiscard]] std::size_t size() const {
+    return heap_.size() + run_.size() - head_;
+  }
+  /// Event slots allocated across both lanes (for memory-bound checks).
+  [[nodiscard]] std::size_t capacity() const {
+    return heap_.capacity() + run_.capacity();
+  }
   /// The (time, seq)-minimal event.  Undefined when empty.
-  [[nodiscard]] const Event& top() const { return heap_.front(); }
-  /// Calls fn(event) for every pending event with time < bound, in heap
-  /// order.  A heap node is never earlier than its parent, so the walk
-  /// prunes every subtree whose root is at or past the bound: the cost
+  [[nodiscard]] const Event& top() const {
+    return run_is_next() ? run_[head_] : heap_.front();
+  }
+  /// Calls fn(event) for every pending event with time < bound, heap lane
+  /// first, in no particular order.  A heap node is never earlier than its
+  /// parent and the run is sorted, so both walks stop at the bound: the cost
   /// follows the number of early events, not the queue size.
   template <typename Fn>
   void for_each_before(VirtualTime bound, const Fn& fn) const {
     visit_before(0, bound, fn);
+    for (std::size_t i = head_; i < run_.size() && run_[i].time < bound; ++i)
+      fn(run_[i]);
   }
 
-  void reserve(std::size_t n) { heap_.reserve(n); }
-  void clear() { heap_.clear(); }
+  /// Bulk loads (replace_queue's restore of a sorted snapshot) arrive in
+  /// key order, so they land in the run.
+  void reserve(std::size_t n) { run_.reserve(n); }
+  void clear() {
+    heap_.clear();
+    run_.clear();
+    head_ = 0;
+  }
 
   void push(Event event) {
+    if (run_.empty() || !(event < run_.back())) {
+      run_.push_back(std::move(event));
+      return;
+    }
     heap_.push_back(std::move(event));
     sift_up(heap_.size() - 1);
   }
 
   /// Removes and returns the minimal event.
   Event pop() {
+    if (run_is_next()) {
+      Event out = std::move(run_[head_++]);
+      if (head_ == run_.size() ||
+          (head_ >= kMinCompact && 2 * head_ >= run_.size()))
+        drop_consumed();
+      return out;
+    }
     Event out = std::move(heap_.front());
     if (heap_.size() > 1) {
       heap_.front() = std::move(heap_.back());
@@ -59,22 +102,41 @@ class EventQueue {
   /// Copy of the queue sorted by (time, seq) — the order the events would
   /// dispatch in, matching the old multiset's begin()..end() iteration.
   [[nodiscard]] std::vector<Event> sorted_snapshot() const {
-    std::vector<Event> out = heap_;
-    std::sort(out.begin(), out.end());
+    std::vector<Event> heap_sorted = heap_;
+    std::sort(heap_sorted.begin(), heap_sorted.end());
+    std::vector<Event> out;
+    out.reserve(size());
+    std::merge(heap_sorted.begin(), heap_sorted.end(),
+               run_.begin() + static_cast<std::ptrdiff_t>(head_), run_.end(),
+               std::back_inserter(out));
     return out;
   }
 
   /// Removes every event matching pred; returns how many were removed.
   template <typename Pred>
   std::size_t erase_if(const Pred& pred) {
-    const std::size_t before = heap_.size();
+    const std::size_t before = size();
     std::erase_if(heap_, pred);
     heapify();
-    return before - heap_.size();
+    drop_consumed();
+    std::erase_if(run_, pred);  // keeps the survivors in key order
+    return before - size();
   }
 
  private:
   static constexpr std::size_t kArity = 4;
+  /// Consumed run slots tolerated before compaction is considered.
+  static constexpr std::size_t kMinCompact = 16;
+
+  [[nodiscard]] bool run_is_next() const {
+    return !run_.empty() && (heap_.empty() || run_[head_] < heap_.front());
+  }
+
+  void drop_consumed() {
+    run_.erase(run_.begin(),
+               run_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
 
   template <typename Fn>
   void visit_before(std::size_t i, VirtualTime bound, const Fn& fn) const {
@@ -118,6 +180,10 @@ class EventQueue {
   }
 
   std::vector<Event> heap_;
+  /// Sorted lane; run_[head_..] is live, run_[..head_] is moved-from.
+  /// Invariant: head_ < run_.size() unless run_ is empty (then head_ == 0).
+  std::vector<Event> run_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace pia

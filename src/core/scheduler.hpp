@@ -100,8 +100,8 @@ class Scheduler final : public ComponentContext {
   [[nodiscard]] VirtualTime next_event_time() const;
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  /// Calls fn(event) for every pending event with time < bound, in heap
-  /// order (NOT dispatch order), skipping the rest of the queue unvisited.
+  /// Calls fn(event) for every pending event with time < bound, in queue
+  /// storage order (NOT dispatch order), skipping the rest unvisited.
   /// For bounded aggregate scans — e.g. the conservative engine prices
   /// queued channel-proxy crossings at their exact stamps when granting
   /// safe times.

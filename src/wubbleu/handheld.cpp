@@ -175,7 +175,10 @@ void Ui::restore_state(serial::InArchive& ar) {
 HandheldCpu::HandheldCpu(std::string name, proc::ProcessorProfile profile,
                          std::size_t memory_bytes)
     : SoftwareComponent(std::move(name), std::move(profile), memory_bytes) {
-  request_ = add_input("request");
+  // A typed-ahead URL is an interrupt to the browser task: it can arrive
+  // while the CPU, ahead in virtual time, is still decoding the previous
+  // page, and is taken when the task is free (queued_urls_).
+  request_ = add_input("request", PortSync::kAsynchronous);
   tx_ = add_output("tx");
   nic_irq_ = add_irq_input("nic_irq", [this](const Value& irq, VirtualTime at) {
     handle_nic_completion(irq, at);

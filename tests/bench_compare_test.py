@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Checks tools/bench_compare.py's exact-count gate on fixture records.
+
+    python3 tests/bench_compare_test.py
+
+A record with one changed `*_events` count must exit 1 and name the key; the
+committed record against itself, and a record whose only changes are times,
+must exit 0.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "bench_compare.py")
+DATA = os.path.join(ROOT, "tests", "data")
+COMMITTED = os.path.join(DATA, "bench_compare_committed.json")
+CHANGED_COUNT = os.path.join(DATA, "bench_compare_changed_count.json")
+
+
+def run(new, committed):
+    result = subprocess.run([sys.executable, TOOL, new, committed],
+                            capture_output=True, text=True)
+    return result.returncode, result.stdout + result.stderr
+
+
+def main():
+    failures = []
+
+    code, out = run(CHANGED_COUNT, COMMITTED)
+    if code != 1 or "FAIL remote_word_events" not in out:
+        failures.append(f"changed count: exit {code}, expected 1\n{out}")
+
+    code, out = run(COMMITTED, COMMITTED)
+    if code != 0:
+        failures.append(f"identical records: exit {code}, expected 0\n{out}")
+
+    with open(COMMITTED) as f:
+        record = json.load(f)
+    record = {k: v * 3 if k.endswith("_seconds") else v
+              for k, v in record.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        slower = os.path.join(tmp, "slower.json")
+        with open(slower, "w") as f:
+            json.dump(record, f)
+        code, out = run(slower, COMMITTED)
+        if code != 0 or "x3.000" not in out:
+            failures.append(f"times only: exit {code}, expected 0\n{out}")
+
+        del record["remote_packet_channel_msgs"]
+        missing = os.path.join(tmp, "missing.json")
+        with open(missing, "w") as f:
+            json.dump(record, f)
+        code, out = run(missing, COMMITTED)
+        if code != 1 or "FAIL remote_packet_channel_msgs" not in out:
+            failures.append(f"missing count: exit {code}, expected 1\n{out}")
+
+    for failure in failures:
+        print(failure)
+    print("bench_compare_test:", "FAILED" if failures else "passed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -274,6 +274,64 @@ TEST(WubbleUDistributed, RemoteChipMatchesLocalResults) {
   EXPECT_EQ(h.cpu->image_pixel_errors(), 0u);
 }
 
+// Type-ahead at the default stylus period: the user finishes the next URL
+// while the CPU is still decoding the previous page, so the request reaches
+// the CPU in its virtual past.  It is an interrupt, taken when the browser
+// task is free.  As a synchronous input it aborted both sessions below with
+// a consistency violation: 66 KB word sessions at page 29, sessions of
+// 1 KB pages at page 2, locally and over loopback alike.
+
+TEST(WubbleULocal, TypeAheadSessionAtDefaultPeriodCompletes) {
+  Scheduler sched("wubbleu");
+  WubbleUConfig config;  // 66 KB pages, default stroke period
+  config.downlink_level = runlevels::kWord;
+  config.urls.assign(40, config.page.url);
+  const WubbleUHandles h = build_local(sched, config);
+  sched.init();
+  sched.run();
+  ASSERT_EQ(h.ui->loads().size(), 40u);
+  EXPECT_EQ(h.ui->completed(), 40u);
+  EXPECT_EQ(h.cpu->pages_loaded(), 40u);
+  EXPECT_EQ(h.cpu->image_pixel_errors(), 0u);
+}
+
+TEST(WubbleUDistributed, TypeAheadSessionMatchesLocalLoads) {
+  WubbleUConfig config;
+  config.page.target_bytes = 1024;
+  config.page.image_count = 1;
+  config.urls.assign(2, config.page.url);
+
+  Scheduler local("wubbleu");
+  const WubbleUHandles ref = build_local(local, config);
+  local.init();
+  local.run();
+  ASSERT_EQ(ref.ui->completed(), 2u);
+
+  dist::NodeCluster cluster;
+  dist::PiaNode& node = cluster.add_node("n");
+  dist::Subsystem& handheld = node.add_subsystem("handheld");
+  dist::Subsystem& chip = node.add_subsystem("chip");
+  const dist::ChannelPair channels = cluster.connect_checked(
+      handheld, chip, dist::ChannelMode::kConservative);
+  const WubbleUHandles h = build_distributed(handheld, chip, channels, config);
+  cluster.start_all();
+  for (const auto& [name, outcome] : cluster.run_all())
+    EXPECT_EQ(outcome, dist::Subsystem::RunOutcome::kQuiescent) << name;
+
+  const auto& want = ref.ui->loads();
+  const auto& got = h.ui->loads();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].url, want[i].url) << i;
+    EXPECT_EQ(got[i].requested_at, want[i].requested_at) << i;
+    EXPECT_EQ(got[i].completed_at, want[i].completed_at) << i;
+    EXPECT_EQ(got[i].body_bytes, want[i].body_bytes) << i;
+    EXPECT_EQ(got[i].images, want[i].images) << i;
+  }
+  // The second URL was typed before the first page finished loading.
+  EXPECT_LT(want[1].requested_at, want[0].completed_at);
+}
+
 TEST(WubbleUDistributed, WordLevelMultipliesChannelTraffic) {
   auto run_level = [](const RunLevel& level) {
     dist::NodeCluster cluster;

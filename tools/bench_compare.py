@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Compare a fresh BENCH_*.json record with the committed one.
+
+    python3 tools/bench_compare.py NEW COMMITTED
+
+Exact counts gate: every `*_events` and `*_channel_msgs` key must be present
+in both records with the same value, because the simulated work of a bench is
+deterministic and a changed count means the model or the protocol changed.
+Times do not gate: every `*_seconds` key is printed as NEW/COMMITTED with the
+direction that is better, for a reader to judge (shared CI runners are too
+noisy for a time threshold).
+
+Exits 0 when every count matches, 1 when one differs or is missing, and 2 on
+unreadable input.
+"""
+
+import json
+import sys
+
+COUNT_SUFFIXES = ("_events", "_channel_msgs")
+TIME_SUFFIX = "_seconds"
+
+
+def load(path):
+    try:
+        with open(path) as f:
+            record = json.load(f)
+    except (OSError, ValueError) as err:
+        print(f"bench_compare: cannot read {path}: {err}", file=sys.stderr)
+        sys.exit(2)
+    if not isinstance(record, dict):
+        print(f"bench_compare: {path} is not a JSON object", file=sys.stderr)
+        sys.exit(2)
+    return record
+
+
+def compare(new, committed):
+    """Prints the comparison; returns the number of count mismatches."""
+    mismatches = 0
+    for key in sorted(k for k in set(new) | set(committed)
+                      if k.endswith(COUNT_SUFFIXES)):
+        if key not in new or key not in committed:
+            where = "new" if key not in new else "committed"
+            print(f"FAIL {key}: missing from the {where} record")
+            mismatches += 1
+        elif new[key] != committed[key]:
+            print(f"FAIL {key}: {committed[key]} -> {new[key]} (exact count)")
+            mismatches += 1
+        else:
+            print(f"ok   {key}: {new[key]}")
+
+    for key in sorted(k for k in new if k.endswith(TIME_SUFFIX)):
+        if key not in committed or not committed[key]:
+            print(f"info {key}: {new[key]:.6g} s (no committed value)")
+            continue
+        ratio = new[key] / committed[key]
+        print(f"info {key}: {committed[key]:.6g} -> {new[key]:.6g} s, "
+              f"x{ratio:.3f} (lower is better)")
+    return mismatches
+
+
+def main(argv):
+    if len(argv) != 3:
+        print("usage: bench_compare.py NEW COMMITTED", file=sys.stderr)
+        return 2
+    mismatches = compare(load(argv[1]), load(argv[2]))
+    if mismatches:
+        print(f"bench_compare: {mismatches} exact count(s) differ")
+        return 1
+    print("bench_compare: every exact count matches")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
