@@ -2,8 +2,9 @@
 //
 // These are the constants everything else is built from: event dispatch,
 // the event queue under a word-passage burst, serialization, checkpoint
-// capture/restore, delta encoding, protocol rendering, the frame codec, and
-// how late the library's one idle sleep wakes.
+// capture/restore, delta encoding, protocol rendering, the frame codec, how
+// late the library's one idle sleep wakes, the readiness doorbell and an
+// empty loopback poll.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "core/protocols.hpp"
 #include "core/scheduler.hpp"
 #include "transport/frame.hpp"
+#include "transport/link.hpp"
 #include "transport/ready.hpp"
 #include "../tests/helpers.hpp"
 #include "bench_util.hpp"
@@ -168,6 +170,35 @@ void BM_PollUntilOversleep(benchmark::State& state) {
   state.counters["oversleep_p99_us"] = at(0.99);
 }
 BENCHMARK(BM_PollUntilOversleep)->UseRealTime();
+
+// The doorbell a sender pays per frame on an in-process link.  Arg 0: no
+// waiter is armed (the common case: an atomic store and load, no syscall).
+// Arg 1: a waiter arms before every notify, so each one rings the fd and
+// the waiter's disarm reads it back (two syscalls per item).
+void BM_ReadySignalNotify(benchmark::State& state) {
+  transport::ReadySignal signal;
+  const bool armed = state.range(0) != 0;
+  for (auto _ : state) {
+    if (armed) signal.arm();
+    signal.notify();
+    if (armed) signal.disarm();
+    benchmark::DoNotOptimize(signal.take());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReadySignalNotify)->Arg(0)->Arg(1);
+
+// What a slice's drain pays per quiet in-process channel: an empty borrowed
+// receive plus the closed() check that follows it.
+void BM_LoopbackEmptyPoll(benchmark::State& state) {
+  transport::LinkPair pair = transport::make_loopback_pair();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pair.b->try_recv_view());
+    benchmark::DoNotOptimize(pair.b->closed());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LoopbackEmptyPoll);
 
 }  // namespace
 

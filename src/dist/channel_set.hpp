@@ -1,20 +1,29 @@
 // ChannelSet: a subsystem's channel table plus the unified idle wait.
 //
 // Owning the endpoints in one object lets the subsystem idle on *all* of
-// them at once: every link shares one ReadySignal (in-process queues pulse
+// them at once: every link shares one ReadySignal (in-process queues notify
 // it) and contributes its kernel fd (sockets), so wait_any() is a single
 // transport::poll_until whose wake latency is independent of the channel
 // count, and whose sleep ends a few µs after a decorator's release stamp
-// (see poll_until) rather than at the next whole millisecond.  The old
-// run-loop idle path scanned the channels sequentially with a 1 ms blocking
-// receive each — worst case N × 1 ms before noticing traffic on the last
-// channel.
+// (see poll_until) rather than at the next whole millisecond.
+//
+// The same facts let a scheduler skip a subsystem that cannot move.  After
+// a slice that made no progress, nothing new can reach the subsystem
+// except (a) a frame or close on an in-process link, which notifies the
+// signal (take_signal() sees it without a syscall), (b) a decorator-held
+// frame maturing, whose instant next_release() reports, and (c) the
+// subsystem's own timers, which its idle hint bounds.  A kernel-fd link
+// breaks (a): a socket never notifies the signal, and learning that it
+// turned readable costs a poll.  can_park() is false for a set holding one,
+// so the pooled executor slices such a subsystem every pass.  Parking it
+// would hold every TCP frame until the idle hint (10 ms) expired.
 #pragma once
 
 #include <poll.h>
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dist/channel.hpp"
@@ -55,6 +64,22 @@ class ChannelSet {
   /// readiness signal to it.
   void replace_link(ChannelId id, transport::LinkPtr link);
 
+  /// Consumes the shared signal's pending mark (no syscall).  True means a
+  /// link received a frame or closed since the last take: inspect the
+  /// channels.  Take before inspecting, never after.
+  bool take_signal() { return signal_->take(); }
+
+  /// True when every link reports input through the shared signal, i.e.
+  /// the set holds no kernel-fd link (cached by add and replace_link).
+  /// Only then may a scheduler skip the subsystem until take_signal(),
+  /// next_release() or its idle hint says it may move.
+  [[nodiscard]] bool can_park() const { return !kernel_fd_; }
+
+  /// Earliest instant a decorator-held frame on any channel matures, or
+  /// nullopt when no link holds one.
+  [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
+  next_release() const;
+
   /// Blocks until any channel may have receivable traffic (data, close, or
   /// a decorator-buffered frame maturing), or `timeout` elapses.  Returns
   /// true when woken by possible readiness — possibly spuriously; the
@@ -63,19 +88,23 @@ class ChannelSet {
   bool wait_any(std::chrono::nanoseconds timeout);
 
   /// The fan-in half of wait_any, exposed so a worker pool can sleep on the
-  /// channel sets of *several* subsystems in one poll: drains this set's
+  /// channel sets of *several* subsystems in one poll: arms this set's
   /// shared signal and appends its poll entries (the signal fd plus every
   /// kernel-backed link fd) to `fds`, returning `timeout` clamped to the
-  /// earliest decorator-buffered frame release.  A return value strictly
-  /// below `timeout` therefore means "a buffered frame matures then — treat
-  /// its expiry as a wake".  Call order matters: drain before inspect, so a
-  /// pulse racing in after this point leaves the fd readable for the poll.
+  /// earliest decorator-buffered frame release, or to zero when a pulse is
+  /// already pending (the mark stays for the next take_signal()).  A return
+  /// value strictly below `timeout` therefore means "treat the expiry as a
+  /// wake".  Pair every call with finish_wait() once the poll returns.
   std::chrono::nanoseconds prepare_wait(std::vector<pollfd>& fds,
                                         std::chrono::nanoseconds timeout);
+
+  /// Ends a wait begun by prepare_wait (disarms the shared signal).
+  void finish_wait() { signal_->disarm(); }
 
  private:
   std::vector<std::unique_ptr<ChannelEndpoint>> channels_;
   transport::ReadySignalPtr signal_;
+  bool kernel_fd_ = false;  // some link has readable_fd() >= 0
 };
 
 /// Brackets a burst of sends: every channel holds its batch open until the

@@ -28,7 +28,29 @@ using Clock = std::chrono::steady_clock;
 struct Entry {
   Subsystem* subsystem = nullptr;
   Clock::time_point last_progress{};
+  /// Set when a slice makes no progress (the entry parks): its idle hint,
+  /// or an earlier decorator release.  Until then the entry is skipped
+  /// unless its channel set's signal is taken.  Progress resets it to the
+  /// clock's epoch, which never holds an entry back.
+  Clock::time_point wake_at{};
 };
+
+/// Parks `entry` after an unproductive slice at `now`.  The single-threaded
+/// run loop would sleep as long in ChannelSet::wait_any.
+void park(Entry& entry, Clock::time_point now) {
+  entry.wake_at = now + entry.subsystem->idle_wait_hint();
+  if (const auto due = entry.subsystem->channel_set().next_release())
+    entry.wake_at = std::min(entry.wake_at, *due);
+}
+
+/// A parked entry with nothing new to look at: no pulse since its last
+/// slice (this call consumes one), no kernel-fd link it would have to poll,
+/// and its wake time not reached.
+bool skip(const Entry& entry) {
+  ChannelSet& channels = entry.subsystem->channel_set();
+  const bool pulsed = channels.take_signal();
+  return !pulsed && channels.can_park() && Clock::now() < entry.wake_at;
+}
 
 /// Best effort: pin the worker to one core so a scheduler thread does not
 /// migrate mid-slice (cache locality for the event queue).  Failure is
@@ -87,6 +109,10 @@ class Pool {
       std::size_t kept = 0;
       for (Entry& entry : batch) {
         if (abort_.load(std::memory_order_acquire)) return;
+        if (skip(entry)) {
+          batch[kept++] = entry;
+          continue;
+        }
         bool progressed = false;
         std::optional<Subsystem::RunOutcome> outcome;
         try {
@@ -98,7 +124,12 @@ class Pool {
         slices_.fetch_add(1, std::memory_order_relaxed);
         any_progress |= progressed;
         const auto now = Clock::now();
-        if (progressed) entry.last_progress = now;
+        if (progressed) {
+          entry.last_progress = now;
+          entry.wake_at = {};
+        } else {
+          park(entry, now);
+        }
         if (!outcome && !progressed &&
             now - entry.last_progress > config_.stall_timeout)
           outcome = Subsystem::RunOutcome::kStalled;
@@ -111,9 +142,10 @@ class Pool {
       batch.resize(kept);
       if (batch.empty()) continue;
 
-      // A fully unproductive pass: sleep on every owned channel at once.
-      // A wake resets the stall clocks, mirroring the single-threaded
-      // loop's treatment of wait_any() returning true.
+      // A fully unproductive pass (every entry parked): sleep on every
+      // owned channel at once until the earliest wake time.  A wake resets
+      // the stall clocks, mirroring the single-threaded loop's treatment of
+      // wait_any() returning true.
       if (!any_progress && wait_batch(batch)) {
         const auto now = Clock::now();
         for (Entry& entry : batch) entry.last_progress = now;
@@ -183,21 +215,26 @@ class Pool {
     idle_.notify_all();
   }
 
-  /// One poll across every channel of every batch member.  Returns true on
-  /// a possible wake (fd readiness or a decorator-held frame maturing).
+  /// One poll across every channel of every batch member, bounded by the
+  /// members' wake times.  Returns true on a possible wake (fd readiness,
+  /// a pending pulse, or a decorator-held frame maturing before its
+  /// member's wake time).
   bool wait_batch(const std::vector<Entry>& batch) {
     std::vector<pollfd> fds;
+    const auto now = Clock::now();
     auto wait = std::chrono::nanoseconds::max();
     bool clamped = false;
     for (const Entry& entry : batch) {
-      ChannelSet& channels = entry.subsystem->channel_set();
-      const std::chrono::nanoseconds hint = entry.subsystem->idle_wait_hint();
-      const auto bounded = channels.prepare_wait(fds, hint);
-      clamped |= bounded < hint;
+      const std::chrono::nanoseconds until = entry.wake_at - now;
+      const auto bounded =
+          entry.subsystem->channel_set().prepare_wait(fds, until);
+      clamped |= bounded < until;
       wait = std::min(wait, bounded);
     }
-    if (fds.empty()) return false;
-    return transport::poll_until(fds, Clock::now() + wait) > 0 || clamped;
+    const bool ready = transport::poll_until(fds, now + wait) > 0;
+    for (const Entry& entry : batch)
+      entry.subsystem->channel_set().finish_wait();
+    return ready || clamped;
   }
 
   const Subsystem::RunConfig config_;

@@ -18,11 +18,27 @@
 //   * Work stealing: a worker with an empty queue takes half of the largest
 //     victim queue (queued entries only; a batch in flight is not
 //     stealable), which rebalances load without a central dispatcher.
+//   * Parking: an entry whose last slice made no progress is parked, and
+//     later passes skip it until one of two things says it may move:
+//       - its channel set's signal is taken (an in-process link received a
+//         frame or closed since the slice; ChannelSet::take_signal, one
+//         atomic load when nothing happened);
+//       - its wake time passes.  That is fixed when it parks: the
+//         subsystem's idle hint, or the earliest decorator-held frame
+//         release (ChannelSet::next_release) if sooner — exactly how long
+//         the single-threaded run loop would sleep in wait_any.
+//     A slice that makes progress unparks the entry.  Skipped entries are
+//     still sliced at their wake time, so the stall clock keeps running.
+//     An entry whose channel set holds a kernel-fd (TCP) link is never
+//     skipped: sockets do not notify the signal, so only slicing (or
+//     polling) sees their traffic, and skipping would hold every TCP frame
+//     until the idle hint.  Skipping changes when slices happen, never
+//     what they compute.
 //   * Idle: when a full batch pass makes no progress, the worker builds ONE
 //     poll set spanning every owned subsystem's channels
-//     (ChannelSet::prepare_wait) and sleeps until any of them may have
-//     traffic — the pooled generalization of the single-subsystem
-//     wait_any.
+//     (ChannelSet::prepare_wait arms each signal) and sleeps until any of
+//     them may have traffic or the earliest wake time — the pooled
+//     generalization of the single-subsystem wait_any.
 //
 // Determinism: a subsystem's event order depends only on its own scheduler
 // queue and the FIFO order of each channel, both of which are independent
@@ -52,7 +68,8 @@ class NodeExecutor {
       const Subsystem::RunConfig& config);
 
   struct Stats {
-    std::uint64_t slices = 0;  // run_slice calls across all workers
+    std::uint64_t slices = 0;  // run_slice calls across all workers (parked
+                               // entries skipped by a pass do not count)
     std::uint64_t steals = 0;  // queue-rebalance events
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }

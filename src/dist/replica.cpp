@@ -381,6 +381,14 @@ void ReplicaLinkGroup::set_ready_signal(transport::ReadySignalPtr signal) {
   for (Member& mem : members_) mem.link->set_ready_signal(signal_);
 }
 
+int ReplicaLinkGroup::readable_fd() const {
+  for (const Member& mem : members_) {
+    if (!mem.alive) continue;
+    if (const int fd = mem.link->readable_fd(); fd >= 0) return fd;
+  }
+  return -1;
+}
+
 std::optional<std::chrono::steady_clock::time_point>
 ReplicaLinkGroup::next_ready_time() const {
   std::optional<std::chrono::steady_clock::time_point> earliest;

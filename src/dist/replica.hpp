@@ -237,6 +237,10 @@ class ReplicaLinkGroup final : public transport::Link {
   [[nodiscard]] transport::LinkStats stats() const override;
   [[nodiscard]] std::string describe() const override;
   void set_ready_signal(transport::ReadySignalPtr signal) override;
+  /// The first live member's kernel fd, or -1 over in-process members.
+  /// Socket members never notify the shared signal, so the waiter (and the
+  /// executor's park rule) must see that the group is fd-backed.
+  [[nodiscard]] int readable_fd() const override;
   [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
   next_ready_time() const override;
 

@@ -1,3 +1,4 @@
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -13,9 +14,15 @@ struct Pipe {
   std::mutex mutex;
   std::condition_variable ready;
   std::deque<Bytes> queue;
-  bool closed = false;
-  /// Readiness signal of whoever reads this direction; pulsed (outside the
-  /// lock) by the writing side on every push and on close.
+  /// `size` mirrors queue.size(); it and `closed` are stored under the
+  /// mutex but atomic, so that an empty poll and closed() need no lock.  A
+  /// reader that sees `size` 0 has nothing to take; a frame pushed after
+  /// that load notifies `signal` after the store, so the reader learns of
+  /// it on its next take() or wait.
+  std::atomic<std::size_t> size{0};
+  std::atomic<bool> closed{false};
+  /// Readiness signal of whoever reads this direction; notified (outside
+  /// the lock) by the writing side on every push and on close.
   ReadySignalPtr signal;
 };
 
@@ -33,6 +40,7 @@ class LoopbackLink final : public Link {
       if (out_->closed)
         raise(ErrorKind::kTransport, "send on closed loopback link");
       out_->queue.emplace_back(frame.begin(), frame.end());
+      out_->size.store(out_->queue.size(), std::memory_order_release);
       signal = out_->signal;
     }
     // Outside the pipe lock: stats_ is this endpoint's own atomic block.
@@ -42,6 +50,7 @@ class LoopbackLink final : public Link {
   }
 
   std::optional<Bytes> try_recv() override {
+    if (nothing_queued()) return std::nullopt;
     const std::lock_guard<std::mutex> lock(in_->mutex);
     commit_pending_locked();
     return pop_locked();
@@ -62,6 +71,7 @@ class LoopbackLink final : public Link {
   /// released, so the front element — and the view aliasing it — stays put
   /// even once the lock drops.
   std::optional<BytesView> try_recv_view() override {
+    if (nothing_queued()) return std::nullopt;
     const std::lock_guard<std::mutex> lock(in_->mutex);
     commit_pending_locked();
     if (in_->queue.empty()) return std::nullopt;
@@ -80,7 +90,7 @@ class LoopbackLink final : public Link {
       ReadySignalPtr signal;
       {
         const std::lock_guard<std::mutex> lock(pipe->mutex);
-        pipe->closed = true;
+        pipe->closed.store(true, std::memory_order_release);
         signal = pipe->signal;
       }
       pipe->ready.notify_all();
@@ -94,8 +104,7 @@ class LoopbackLink final : public Link {
   }
 
   bool closed() const override {
-    const std::lock_guard<std::mutex> lock(out_->mutex);
-    return out_->closed;
+    return out_->closed.load(std::memory_order_acquire);
   }
 
   LinkStats stats() const override { return stats_.snapshot(); }
@@ -103,18 +112,29 @@ class LoopbackLink final : public Link {
   std::string describe() const override { return "loopback"; }
 
  private:
+  /// Lock-free empty check.  A pending view's slot is still queued, so it
+  /// never reads as empty here: the commit happens under the lock.
+  [[nodiscard]] bool nothing_queued() const {
+    return in_->size.load(std::memory_order_acquire) == 0;
+  }
+
   std::optional<Bytes> pop_locked() {
     if (in_->queue.empty()) return std::nullopt;
     Bytes msg = std::move(in_->queue.front());
-    in_->queue.pop_front();
+    pop_front_locked();
     stats_.count_recv(msg.size());
     return msg;
   }
 
   void commit_pending_locked() {
     if (!pending_view_) return;
-    in_->queue.pop_front();
+    pop_front_locked();
     pending_view_ = false;
+  }
+
+  void pop_front_locked() {
+    in_->queue.pop_front();
+    in_->size.store(in_->queue.size(), std::memory_order_release);
   }
 
   std::shared_ptr<Pipe> out_;

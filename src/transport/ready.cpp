@@ -59,6 +59,29 @@ int poll_until(std::span<pollfd> fds,
   }
 }
 
+void ReadySignal::notify() {
+  pending_.store(true);
+  // The load filters the common case (nobody armed) without a locked
+  // instruction; the exchange lets exactly one notifier ring per arm.
+  if (armed_.load() && armed_.exchange(false)) ring();
+}
+
+bool ReadySignal::take() {
+  return pending_.load(std::memory_order_relaxed) &&
+         pending_.exchange(false, std::memory_order_acquire);
+}
+
+bool ReadySignal::arm() {
+  armed_.store(true);
+  return pending_.load();
+}
+
+void ReadySignal::disarm() {
+  // The arm was claimed: its notifier has rung the fd or is about to.
+  if (!armed_.exchange(false)) ++owed_;
+  if (owed_ > 0) owed_ -= std::min(owed_, consume());
+}
+
 #ifdef __linux__
 
 ReadySignal::ReadySignal() {
@@ -73,24 +96,24 @@ ReadySignal::~ReadySignal() {
   fds_[0] = -1;
 }
 
-void ReadySignal::notify() {
+void ReadySignal::ring() {
   const std::uint64_t pulse = 1;
-  // EAGAIN means the counter is saturated — already readable, so the waiter
-  // wakes either way.  Other errors only occur mid-destruction.
+  // Only a notifier that claimed an arm rings, so the counter stays tiny;
+  // any error means the signal is mid-destruction.
   [[maybe_unused]] const ssize_t n = ::write(fds_[0], &pulse, sizeof(pulse));
 }
 
-bool ReadySignal::drain() {
+std::uint64_t ReadySignal::consume() {
   std::uint64_t count = 0;
   for (;;) {
     const ssize_t n = ::read(fds_[0], &count, sizeof(count));
-    if (n == sizeof(count)) return true;  // counter read resets it to zero
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return false;
+    if (n == sizeof(count)) return count;  // counter read resets it to zero
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return 0;
     if (n < 0 && errno == EINTR) continue;
     // Anything else (EBADF after a double close, EIO) means the wake
     // mechanism is broken — waiting on it would hang forever, so fail loud.
     raise(ErrorKind::kTransport,
-          std::string("ready signal drain: ") + std::strerror(errno));
+          std::string("ready signal read: ") + std::strerror(errno));
   }
 }
 
@@ -101,7 +124,8 @@ ReadySignal::ReadySignal() {
     raise(ErrorKind::kTransport,
           std::string("ready signal pipe: ") + std::strerror(errno));
   // A silently-blocking pipe end would turn notify() into a deadlock and
-  // drain() into a hang, so flag-setting failures must not pass unnoticed.
+  // a doorbell read into a hang, so flag-setting failures must not pass
+  // unnoticed.
   for (const int fd : fds_) {
     const int fl = ::fcntl(fd, F_GETFL);
     if (fl < 0 || ::fcntl(fd, F_SETFL, fl | O_NONBLOCK) < 0 ||
@@ -124,29 +148,29 @@ ReadySignal::~ReadySignal() {
   }
 }
 
-void ReadySignal::notify() {
+void ReadySignal::ring() {
   const char pulse = 1;
-  // EAGAIN means the pipe is already full of pulses — already readable, so
-  // the waiter wakes either way.  Other errors only occur mid-destruction.
+  // Only a notifier that claimed an arm rings, so the pipe never fills;
+  // any error means the signal is mid-destruction.
   [[maybe_unused]] const ssize_t n = ::write(fds_[1], &pulse, 1);
 }
 
-bool ReadySignal::drain() {
+std::uint64_t ReadySignal::consume() {
   char sink[256];
-  bool consumed = false;
+  std::uint64_t count = 0;
   for (;;) {
     const ssize_t n = ::read(fds_[0], sink, sizeof(sink));
     if (n > 0) {
-      consumed = true;
+      count += static_cast<std::uint64_t>(n);  // one byte per ring
       continue;
     }
-    if (n == 0) return consumed;  // write end closed mid-destruction
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return consumed;  // empty
+    if (n == 0) return count;  // write end closed mid-destruction
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return count;  // empty
     if (errno == EINTR) continue;
     // Anything else (EBADF after a double close, EIO) means the wake
     // mechanism is broken — waiting on it would hang forever, so fail loud.
     raise(ErrorKind::kTransport,
-          std::string("ready signal drain: ") + std::strerror(errno));
+          std::string("ready signal read: ") + std::strerror(errno));
   }
 }
 

@@ -1,18 +1,36 @@
-// ReadySignal: a process-internal readiness pulse shared by many Links.
+// ReadySignal: a process-internal readiness doorbell shared by many Links.
 //
 // A subsystem idling on N channels must not scan them sequentially (worst
 // case N × poll-timeout wake latency).  Instead every in-process link of the
-// subsystem shares one ReadySignal: a sender pulses it when a frame lands in
-// a queue the subsystem might be sleeping on, and the subsystem's single
+// subsystem shares one ReadySignal: a sender notifies it when a frame lands
+// in a queue the subsystem might be sleeping on, and the subsystem's single
 // wait includes the signal's fd alongside the kernel fds of any socket
 // links.  Wake latency is then one poll() round regardless of channel count.
 //
-// On Linux this is an eventfd doorbell: one fd instead of a pipe pair,
-// notify() adds to the counter (saturation already reads as ready, so a
-// refused add is harmless), drain() reads the counter to zero in one
-// syscall.  Elsewhere it falls back to the classic self-pipe.  Either way it
-// composes with ::poll over socket fds, and drain() empties the doorbell
-// before a wait so stale pulses don't cause busy spinning.
+// The signal is two atomic flags in front of a kernel doorbell (an eventfd
+// on Linux, a self-pipe elsewhere):
+//   * `pending` says "a sender signalled since the last take()".  notify()
+//     sets it; take() consumes it with no syscall.  A scheduler that only
+//     wants to know whether a subsystem may have input (the pooled
+//     executor's park check) never touches the fd.
+//   * `armed` says "a waiter is about to sleep on the fd".  Only the first
+//     notify() after arm() writes the fd (it claims the arm by clearing
+//     it), so a sender pays a syscall only when someone may be asleep.
+//
+// A wait is arm() → poll → disarm().  arm() stores `armed` and then
+// re-reads `pending`; notify() stores `pending` and then reads `armed`.
+// Both pairs are sequentially consistent, so (Dekker) at least one side
+// sees the other's store: either the waiter sees `pending` and does not
+// sleep, or the notifier sees `armed` and writes the fd, which wakes the
+// poll.  No pulse is lost in between.  disarm() clears `armed`; if a
+// notifier had already claimed it, its fd write is (or is about to be)
+// there, and disarm() reads it back so the next wait does not wake on a
+// stale doorbell.  A write that has not landed yet is remembered and read
+// by a later disarm(): at most one spurious wake, never a busy spin.
+//
+// The waiter side (take/arm/disarm) belongs to one thread at a time; the
+// pooled executor hands a subsystem between workers under its queue mutex.
+// notify() is safe from any thread and never blocks.
 //
 // poll_until is the one sleep in the library: link receives, decorator
 // release waits, connect backoff, the subsystem wait and the pooled executor
@@ -29,7 +47,9 @@
 
 #include <poll.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <span>
 
@@ -54,20 +74,40 @@ class ReadySignal {
   ReadySignal(const ReadySignal&) = delete;
   ReadySignal& operator=(const ReadySignal&) = delete;
 
-  /// Marks the signal ready; safe to call from any thread, never blocks.
+  /// Marks the signal pending, and rings the fd when a waiter is armed.
+  /// Safe to call from any thread, never blocks.
   void notify();
 
-  /// Consumes queued pulses.  Callers drain *before* re-inspecting the
-  /// queues they guard: a pulse that races the drain re-arms the next wait
-  /// rather than being lost.  Returns true if any pulse was consumed — a
-  /// consumed pulse means a sender signalled since the last drain, so the
-  /// guarded queues must be re-inspected before sleeping at all.
-  bool drain();
+  /// Consumes the pending mark, without a syscall.  True means a sender
+  /// signalled since the last take(), so the guarded queues must be
+  /// re-inspected.  Take *before* inspecting: a pulse that races the
+  /// inspection leaves the mark set for the next take().
+  bool take();
 
-  /// The fd a waiter adds to its poll set (POLLIN when notified).
+  /// Announces that the caller is about to sleep on fd().  Returns true when
+  /// a pulse is already pending: the caller must not sleep (it polls with a
+  /// zero budget).  The mark stays set for the next take().
+  bool arm();
+
+  /// Ends a wait begun by arm(), consuming the fd doorbell if a notifier
+  /// rang it.
+  void disarm();
+
+  /// The fd a waiter adds to its poll set between arm() and disarm()
+  /// (POLLIN once a notifier rang it).
   [[nodiscard]] int fd() const { return fds_[0]; }
 
  private:
+  /// Writes the doorbell: one ring.
+  void ring();
+  /// Reads the doorbell without blocking; returns how many rings it read.
+  std::uint64_t consume();
+
+  std::atomic<bool> pending_{false};
+  std::atomic<bool> armed_{false};
+  // Rings claimed by notifiers that disarm() has not read yet.  Waiter-side
+  // state, like arm() and disarm() themselves.
+  std::uint64_t owed_ = 0;
   // eventfd mode uses fds_[0] only; pipe mode uses both ends.
   int fds_[2] = {-1, -1};
 };

@@ -3,11 +3,14 @@
 // check that wake latency on an 8-channel star does not scale with the
 // channel count (the old idle path polled channels sequentially at 1 ms
 // each, so traffic on the last channel paid N × 1 ms before being noticed).
-// Also pins the sub-millisecond wait budget and transport::poll_until's
-// never-early contract.  Timing asserts are lower bounds only, so load on
-// the host cannot make them fail.
+// Also pins the sub-millisecond wait budget, which sets may be parked by
+// the pooled executor (none holding a kernel-fd link), and
+// transport::poll_until's never-early contract.  Timing asserts are lower
+// bounds only, so load on the host cannot make them fail.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <chrono>
 #include <memory>
@@ -16,6 +19,8 @@
 #include <vector>
 
 #include "dist/channel_set.hpp"
+#include "dist/node.hpp"
+#include "dist/replica.hpp"
 #include "transport/fault.hpp"
 #include "transport/link.hpp"
 #include "transport/ready.hpp"
@@ -168,6 +173,47 @@ TEST(ChannelSetWait, BudgetKeepsSubMillisecondRelease) {
   EXPECT_FALSE(fds.empty());  // the shared signal is always polled
 }
 
+std::unique_ptr<ChannelEndpoint> endpoint_over(transport::LinkPtr link,
+                                               std::uint32_t index) {
+  auto endpoint = std::make_unique<ChannelEndpoint>(
+      "c" + std::to_string(index), ChannelMode::kConservative,
+      std::move(link), 1);
+  endpoint->index = index;
+  return endpoint;
+}
+
+TEST(ChannelSetPark, OnlySetsWithoutKernelFdLinksMayPark) {
+  // A socket never notifies the shared signal, so a set holding one must
+  // never be skipped by the pooled executor.  The fact is cached by add and
+  // replace_link, and a replica group of TCP members counts as fd-backed.
+  std::vector<transport::LinkPtr> far;
+  ChannelSet set;
+  auto loop = make_wire_pair(Wire::kLoopback);
+  set.add(endpoint_over(std::move(loop.a), 0));
+  far.push_back(std::move(loop.b));
+  EXPECT_TRUE(set.can_park());
+
+  auto tcp = make_wire_pair(Wire::kTcp);
+  set.add(endpoint_over(std::move(tcp.a), 1));
+  far.push_back(std::move(tcp.b));
+  EXPECT_FALSE(set.can_park());
+
+  auto swap = make_wire_pair(Wire::kLoopback);
+  set.replace_link(ChannelId{1}, std::move(swap.a));
+  far.push_back(std::move(swap.b));
+  EXPECT_TRUE(set.can_park());
+
+  ChannelSet replicated;
+  auto group = std::make_unique<ReplicaLinkGroup>("g");
+  for (int k = 0; k < 2; ++k) {
+    auto member = make_wire_pair(Wire::kTcp);
+    group->add_member(std::move(member.a));
+    far.push_back(std::move(member.b));
+  }
+  replicated.add(endpoint_over(std::move(group), 0));
+  EXPECT_FALSE(replicated.can_park());
+}
+
 TEST(PollUntil, NeverReturnsBeforeTheDeadline) {
   transport::ReadySignal quiet;
   for (const auto wait : {microseconds(300), microseconds(3000)}) {
@@ -179,13 +225,18 @@ TEST(PollUntil, NeverReturnsBeforeTheDeadline) {
 }
 
 TEST(PollUntil, PastDeadlineStillReportsReadiness) {
-  transport::ReadySignal signal;
-  pollfd pfd{.fd = signal.fd(), .events = POLLIN, .revents = 0};
+  // A plain pipe: a ReadySignal's fd turns readable only while armed.
+  int ends[2] = {-1, -1};
+  ASSERT_EQ(::pipe(ends), 0);
+  pollfd pfd{.fd = ends[0], .events = POLLIN, .revents = 0};
   EXPECT_EQ(transport::poll_until({&pfd, 1}, steady_clock::time_point::min()),
             0);
-  signal.notify();
+  const char byte = 1;
+  ASSERT_EQ(::write(ends[1], &byte, 1), 1);
   EXPECT_EQ(transport::poll_until({&pfd, 1}, steady_clock::time_point::min()),
             1);
+  ::close(ends[0]);
+  ::close(ends[1]);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Thread-safety storms for the Link implementations, the loopback queue's
-// borrowed-view receive path, regression tests for the hardened
-// ReadySignal / ChannelSet::wait_any, and the NodeExecutor worker pool.
-// Everything here is about concurrency: FIFO order under sender/receiver/
-// stats races, views against a racing producer, close() mid-storm, EINTR
+// borrowed-view receive path, the ReadySignal doorbell contract (arm /
+// notify / take / disarm) and ChannelSet::wait_any, and the NodeExecutor
+// worker pool, including which subsystems it parks.  Everything here is
+// about concurrency: FIFO order under sender/receiver/stats races, views
+// against a racing producer, close() mid-storm, lost-wakeup windows, EINTR
 // resilience, and bit-exact pooled execution.  Run under ThreadSanitizer
 // in CI.
 
@@ -225,19 +226,63 @@ TEST(LinkStorm, LoopbackBorrowedViewFifoUnderSendRace) {
 // --- ReadySignal hardening regressions -----------------------------------
 
 TEST(ReadySignal, DrainOnEmptyPipeReturnsQuietly) {
+  // A wait nobody notified: no mark to take, nothing rung, and disarm()
+  // must neither throw nor leave the fd readable.
   ReadySignal signal;
-  signal.drain();  // empty pipe: EAGAIN path, must not throw
+  EXPECT_FALSE(signal.take());
+  EXPECT_FALSE(signal.arm());
+  signal.disarm();
   pollfd p{signal.fd(), POLLIN, 0};
   EXPECT_EQ(::poll(&p, 1, 0), 0);
 }
 
 TEST(ReadySignal, DrainConsumesEveryQueuedPulse) {
+  // Only the first notify after arm() rings the fd; disarm() reads that
+  // ring back, so no stale doorbell is left to busy-spin on.  The pending
+  // mark survives the wait for the next take().
   ReadySignal signal;
+  ASSERT_FALSE(signal.arm());
   for (int i = 0; i < 64; ++i) signal.notify();
   pollfd p{signal.fd(), POLLIN, 0};
   EXPECT_EQ(::poll(&p, 1, 0), 1);
-  signal.drain();
-  EXPECT_EQ(::poll(&p, 1, 0), 0);  // no stale pulse left to busy-spin on
+  signal.disarm();
+  EXPECT_EQ(::poll(&p, 1, 0), 0);
+  EXPECT_TRUE(signal.take());
+  EXPECT_FALSE(signal.take());
+}
+
+TEST(ReadySignal, UnarmedNotifyMarksPendingWithoutRinging) {
+  // Nobody is asleep, so a notify costs no syscall: the fd stays quiet and
+  // the mark is taken exactly once.
+  ReadySignal signal;
+  signal.notify();
+  signal.notify();
+  pollfd p{signal.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&p, 1, 0), 0);
+  EXPECT_TRUE(signal.take());
+  EXPECT_FALSE(signal.take());
+  // A mark already pending when the waiter arms tells it not to sleep.
+  signal.notify();
+  EXPECT_TRUE(signal.arm());
+  signal.disarm();
+  EXPECT_TRUE(signal.take());
+}
+
+TEST(ReadySignal, NotifyBetweenArmAndPollWakesThePoll) {
+  // The lost-wakeup window: the waiter armed and found nothing pending,
+  // then a sender notifies before the waiter reaches its poll.  The ring
+  // must already be there when the poll starts.
+  ReadySignal signal;
+  ASSERT_FALSE(signal.arm());
+  std::thread sender([&] { signal.notify(); });
+  sender.join();
+  pollfd p{signal.fd(), POLLIN, 0};
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(poll_until({&p, 1}, start + 10s), 1);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+  signal.disarm();
+  EXPECT_EQ(::poll(&p, 1, 0), 0);
+  EXPECT_TRUE(signal.take());
 }
 
 TEST(ReadySignal, ReadEndIsNonBlocking) {
@@ -303,6 +348,58 @@ TEST(ReadySignal, WaitAnySurvivesEintrStorm) {
   EXPECT_FALSE(woke);
   EXPECT_GE(elapsed, 350ms);
   EXPECT_LT(elapsed, 5s);
+}
+
+TEST(DoorbellStorm, WaiterReceivesEveryFrameAndNeverSleepsToItsDeadline) {
+  // A sender pushing bursts on a loopback link against a waiter running
+  // the full cycle: take, drain, arm, poll, disarm.  The sender waits for
+  // each burst to be consumed before the next, so every burst's last frame
+  // is one nothing else would wake the waiter for: a notify lost anywhere
+  // in the cycle leaves the waiter asleep until its 10 s deadline.  The
+  // waiter yields between its drain and its arm on alternate rounds, the
+  // window in which a frame can land unseen and its notify find no waiter.
+  constexpr std::uint32_t kBursts = 3000;
+  LinkPair pair = make_loopback_pair();
+  auto signal = std::make_shared<ReadySignal>();
+  pair.b->set_ready_signal(signal);
+  std::atomic<std::uint32_t> consumed{0};
+  std::uint32_t total = 0;
+  for (std::uint32_t b = 0; b < kBursts; ++b) total += 1 + b % 7;
+  std::thread sender([&] {
+    std::uint32_t sent = 0;
+    for (std::uint32_t b = 0; b < kBursts; ++b) {
+      for (std::uint32_t k = 0; k < 1 + b % 7; ++k)
+        pair.a->send(frame_for(sent++));
+      while (consumed.load(std::memory_order_acquire) < sent)
+        std::this_thread::yield();
+    }
+  });
+
+  std::uint32_t next = 0;
+  std::uint32_t sleeps = 0;
+  for (std::uint32_t round = 0; next < total; ++round) {
+    signal->take();
+    while (auto got = pair.b->try_recv()) {
+      ASSERT_EQ(index_of(*got), next) << "FIFO violated";
+      ++next;
+    }
+    consumed.store(next, std::memory_order_release);
+    if (next == total) break;
+    if (round % 2 == 1) std::this_thread::yield();
+    const bool pending = signal->arm();
+    pollfd p{signal->fd(), POLLIN, 0};
+    const auto now = std::chrono::steady_clock::now();
+    const int ready = poll_until({&p, 1}, pending ? now : now + 10s);
+    signal->disarm();
+    if (pending) continue;
+    ++sleeps;
+    ASSERT_EQ(ready, 1) << "slept to the deadline with frame " << next
+                        << " outstanding";
+  }
+  sender.join();
+  EXPECT_EQ(next, total);
+  EXPECT_FALSE(pair.b->try_recv().has_value());
+  RecordProperty("sleeps", static_cast<int>(sleeps));
 }
 
 }  // namespace
@@ -380,6 +477,161 @@ TEST(NodeExecutor, RunsDirectlyAndCountsSlices) {
   EXPECT_GT(executor.stats().slices, 0u);
   EXPECT_EQ(dut.sink->received,
             testing::run_single_host_pipeline(spec).received);
+}
+
+/// Sink that closes `far` once `count` values have arrived.
+class ClosingSink final : public testing::Sink {
+ public:
+  ClosingSink(std::string name, std::uint64_t count, transport::Link* far)
+      : Sink(std::move(name)), count_(count), far_(far) {}
+  void on_receive(PortIndex port, const Value& value) override {
+    Sink::on_receive(port, value);
+    if (received.size() == count_ && far_ != nullptr) far_->close();
+  }
+
+ private:
+  std::uint64_t count_;
+  transport::Link* far_;
+};
+
+struct PoolRun {
+  std::uint64_t slices = 0;
+  std::chrono::steady_clock::duration elapsed{};
+  std::map<std::string, Subsystem::RunOutcome> outcomes;
+};
+
+/// A one-worker pool over a busy subsystem (a producer and a sink on one
+/// local net: progress on every slice until its 2 × 100 000 events are
+/// dispatched), and, when `quiet_wire` is set, a quiet one whose only
+/// channel leads to a raw link nobody drives.  The busy sink closes that
+/// link when it is done, so the quiet subsystem lives exactly as long.
+PoolRun run_busy_beside_quiet(std::optional<Wire> quiet_wire) {
+  constexpr std::uint64_t kCount = 100'000;
+  NodeCluster cluster;
+  PiaNode& node = cluster.add_node("pool");
+  transport::LinkPair far;
+  if (quiet_wire) far = make_wire_pair(*quiet_wire);
+  Scheduler& sched = node.add_subsystem("busy").scheduler();
+  auto& producer = sched.emplace<testing::Producer>("p", kCount, ticks(1));
+  auto& sink = sched.emplace<ClosingSink>("s", kCount, far.b.get());
+  const NetId net = sched.make_net("n");
+  sched.attach(net, producer.id(), "out");
+  sched.attach(net, sink.id(), "in");
+  if (quiet_wire)
+    node.add_subsystem("quiet").add_channel(
+        "dangling", ChannelMode::kConservative, std::move(far.a));
+  cluster.start_all();
+  NodeExecutor executor(node.subsystems(), 1);
+  PoolRun run;
+  const auto start = std::chrono::steady_clock::now();
+  run.outcomes = executor.run(Subsystem::RunConfig{.stall_timeout = 20'000ms});
+  run.elapsed = std::chrono::steady_clock::now() - start;
+  run.slices = executor.stats().slices;
+  return run;
+}
+
+TEST(NodeExecutor, QuietLoopbackSubsystemIsParkedWhileItsNeighbourWorks) {
+  // The quiet subsystem's slices make no progress, so it parks and is
+  // sliced again only at its 10 ms idle hint, plus once for the close:
+  // the pool's slice count stays near the busy subsystem's own, however
+  // slow the host.  Slicing both every pass would double it.
+  const std::uint64_t busy = run_busy_beside_quiet(std::nullopt).slices;
+  ASSERT_GT(busy, 100u);
+  const PoolRun run = run_busy_beside_quiet(Wire::kLoopback);
+  EXPECT_EQ(run.outcomes.at("busy"), Subsystem::RunOutcome::kQuiescent);
+  EXPECT_EQ(run.outcomes.at("quiet"), Subsystem::RunOutcome::kDisconnected);
+  ASSERT_GE(run.slices, busy);
+  const auto hints = static_cast<std::uint64_t>(run.elapsed / 10ms);
+  EXPECT_LE(run.slices - busy, hints + 4)
+      << "busy alone: " << busy << ", run took " << hints * 10 << " ms";
+}
+
+TEST(NodeExecutor, QuietTcpSubsystemIsSlicedEveryPass) {
+  // A socket never notifies the signal, so a TCP-linked subsystem must not
+  // park: every pass slices it, as many times as the busy one at least.
+  const std::uint64_t busy = run_busy_beside_quiet(std::nullopt).slices;
+  const PoolRun run = run_busy_beside_quiet(Wire::kTcp);
+  EXPECT_EQ(run.outcomes.at("busy"), Subsystem::RunOutcome::kQuiescent);
+  EXPECT_EQ(run.outcomes.at("quiet"), Subsystem::RunOutcome::kDisconnected);
+  EXPECT_GE(run.slices, 2 * busy) << "busy alone: " << busy;
+}
+
+TEST(NodeExecutor, ParkedSubsystemWithoutInputStillStalls) {
+  // Parking must not hide a subsystem from the stall clock: it is sliced
+  // again at every idle hint, and the slice after the stall timeout ends it.
+  NodeCluster cluster;
+  PiaNode& node = cluster.add_node("pool");
+  transport::LinkPair far = make_wire_pair(Wire::kLoopback);
+  node.add_subsystem("quiet").add_channel(
+      "dangling", ChannelMode::kConservative, std::move(far.a));
+  cluster.start_all();
+  NodeExecutor executor(node.subsystems(), 1);
+  const auto start = std::chrono::steady_clock::now();
+  const auto outcomes =
+      executor.run(Subsystem::RunConfig{.stall_timeout = 200ms});
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 200ms);
+  EXPECT_EQ(outcomes.at("quiet"), Subsystem::RunOutcome::kStalled);
+  EXPECT_GE(executor.stats().slices, 2u);
+}
+
+/// Producer that stamps the wall clock as it emits each value.
+class WallProducer final : public testing::Producer {
+ public:
+  using Producer::Producer;
+  void on_wake() override {
+    sent_at.push_back(std::chrono::steady_clock::now());
+    Producer::on_wake();
+  }
+  std::vector<std::chrono::steady_clock::time_point> sent_at;
+};
+
+/// Sink that stamps the wall clock as each value arrives.
+class WallSink final : public testing::Sink {
+ public:
+  using Sink::Sink;
+  void on_receive(PortIndex port, const Value& value) override {
+    received_at.push_back(std::chrono::steady_clock::now());
+    Sink::on_receive(port, value);
+  }
+  std::vector<std::chrono::steady_clock::time_point> received_at;
+};
+
+TEST(NodeExecutor, ParkedReceiverGetsDelayedFramesAfterTheirStamp) {
+  // The receiver parks on frames the fault decorator holds for 200 us: its
+  // wake time is the release stamp, so it is sliced when the frame matures,
+  // never before (lower bounds only: each frame left after its value was
+  // emitted).
+  NodeCluster cluster;
+  PiaNode& node = cluster.add_node("pool");
+  Subsystem& a = node.add_subsystem("a");
+  Subsystem& b = node.add_subsystem("b");
+  constexpr std::uint64_t kCount = 20;
+  auto& producer = a.scheduler().emplace<WallProducer>("p", kCount);
+  auto& sink = b.scheduler().emplace<WallSink>("s");
+  const NetId net_a = a.scheduler().make_net("wire");
+  a.scheduler().attach(net_a, producer.id(), "out");
+  const NetId net_b = b.scheduler().make_net("wire");
+  b.scheduler().attach(net_b, sink.id(), "in");
+  const ChannelPair chans = cluster.connect_checked(
+      a, b, ChannelMode::kConservative, Wire::kLoopback,
+      transport::LatencyModel{.base = std::chrono::microseconds(200)});
+  split_net(a, chans.a, net_a, b, chans.b, net_b);
+  cluster.start_all();
+
+  NodeExecutor executor(node.subsystems(), 1);
+  const auto outcomes =
+      executor.run(Subsystem::RunConfig{.stall_timeout = 20'000ms});
+  for (const auto& [name, outcome] : outcomes)
+    EXPECT_EQ(outcome, Subsystem::RunOutcome::kQuiescent) << name;
+  ASSERT_EQ(sink.received.size(), kCount);
+  ASSERT_EQ(producer.sent_at.size(), kCount);
+  ASSERT_EQ(sink.received_at.size(), kCount);
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(sink.received[i], i);
+    EXPECT_GE(sink.received_at[i] - producer.sent_at[i],
+              std::chrono::microseconds(200))
+        << "frame " << i << " delivered before its stamp";
+  }
 }
 
 TEST(SchedulerConfinement, ForeignThreadStepRaisesConsistency) {
