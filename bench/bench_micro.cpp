@@ -3,12 +3,14 @@
 // These are the constants everything else is built from: event dispatch,
 // the event queue under a word-passage burst, serialization, checkpoint
 // capture/restore, delta encoding, protocol rendering, the frame codec, how
-// late the library's one idle sleep wakes, the readiness doorbell and an
-// empty loopback poll.
+// late the library's one idle sleep wakes, the readiness doorbell, one pool
+// worker's wait round over 100 channel sets, and an empty loopback poll.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -16,6 +18,7 @@
 #include "core/event_queue.hpp"
 #include "core/protocols.hpp"
 #include "core/scheduler.hpp"
+#include "dist/channel_set.hpp"
 #include "transport/frame.hpp"
 #include "transport/link.hpp"
 #include "transport/ready.hpp"
@@ -172,21 +175,57 @@ void BM_PollUntilOversleep(benchmark::State& state) {
 BENCHMARK(BM_PollUntilOversleep)->UseRealTime();
 
 // The doorbell a sender pays per frame on an in-process link.  Arg 0: no
-// waiter is armed (the common case: an atomic store and load, no syscall).
+// waiter is armed (the common case: an atomic store and two loads, no
+// syscall).
 // Arg 1: a waiter arms before every notify, so each one rings the fd and
 // the waiter's disarm reads it back (two syscalls per item).
 void BM_ReadySignalNotify(benchmark::State& state) {
   transport::ReadySignal signal;
   const bool armed = state.range(0) != 0;
   for (auto _ : state) {
-    if (armed) signal.arm();
+    if (armed) signal.bell().arm();
     signal.notify();
-    if (armed) signal.disarm();
+    if (armed) signal.bell().disarm();
     benchmark::DoNotOptimize(signal.take());
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReadySignalNotify)->Arg(0)->Arg(1);
+
+// One idle wait round of a pool worker that owns 100 subsystems of one
+// quiet loopback channel each: arm the worker's doorbell, route and read
+// every set (ChannelSet::prepare_wait), poll the one fd with a zero budget,
+// disarm, then the next pass's 100 take_signal checks.  The worker pays
+// this per wait whatever its subsystem count; no fd per subsystem is armed,
+// polled or read.
+void BM_PoolWaitRound(benchmark::State& state) {
+  constexpr int kSets = 100;
+  std::vector<std::unique_ptr<dist::ChannelSet>> sets;
+  std::vector<transport::LinkPtr> far;
+  for (int i = 0; i < kSets; ++i) {
+    transport::LinkPair pair = transport::make_loopback_pair();
+    sets.push_back(std::make_unique<dist::ChannelSet>());
+    sets.back()->add(std::make_unique<dist::ChannelEndpoint>(
+        "c" + std::to_string(i), dist::ChannelMode::kConservative,
+        std::move(pair.a), 1));
+    far.push_back(std::move(pair.b));
+  }
+  const transport::DoorbellLease bell;
+  std::vector<pollfd> fds;
+  for (auto _ : state) {
+    fds.assign(1, pollfd{.fd = bell->fd(), .events = POLLIN, .revents = 0});
+    bell->arm();
+    bool pending = false;
+    for (auto& set : sets) pending |= set->prepare_wait(*bell, fds);
+    benchmark::DoNotOptimize(pending);
+    benchmark::DoNotOptimize(
+        transport::poll_until(fds, std::chrono::steady_clock::now()));
+    bell->disarm();
+    for (auto& set : sets) benchmark::DoNotOptimize(set->take_signal());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PoolWaitRound);
 
 // What a slice's drain pays per quiet in-process channel: an empty borrowed
 // receive plus the closed() check that follows it.

@@ -13,9 +13,19 @@ using Clock = std::chrono::steady_clock;
 ChannelSet::ChannelSet()
     : signal_(std::make_shared<transport::ReadySignal>()) {}
 
+namespace {
+
+bool has_kernel_fd(const transport::Link& link) {
+  std::vector<pollfd> fds;
+  link.poll_fds(fds);
+  return !fds.empty();
+}
+
+}  // namespace
+
 void ChannelSet::add(std::unique_ptr<ChannelEndpoint> endpoint) {
   endpoint->link().set_ready_signal(signal_);
-  kernel_fd_ |= endpoint->link().readable_fd() >= 0;
+  kernel_fd_ |= has_kernel_fd(endpoint->link());
   channels_.push_back(std::move(endpoint));
 }
 
@@ -35,7 +45,7 @@ void ChannelSet::replace_link(ChannelId id, transport::LinkPtr link) {
   endpoint.link().set_ready_signal(signal_);
   kernel_fd_ = std::any_of(
       channels_.begin(), channels_.end(),
-      [](const auto& c) { return c->link().readable_fd() >= 0; });
+      [](const auto& c) { return has_kernel_fd(c->link()); });
 }
 
 std::optional<Clock::time_point> ChannelSet::next_release() const {
@@ -47,39 +57,42 @@ std::optional<Clock::time_point> ChannelSet::next_release() const {
   return earliest;
 }
 
-std::chrono::nanoseconds ChannelSet::prepare_wait(
-    std::vector<pollfd>& fds, std::chrono::nanoseconds timeout) {
-  // Frames held inside the fault decorator mature silently: clamp
-  // the wait to the earliest reported release so they are picked up on
-  // time regardless of how long the caller was willing to sleep.
+bool ChannelSet::prepare_wait(transport::Doorbell& bell,
+                              std::vector<pollfd>& fds) {
+  // Route first (the caller armed the bell already): from here on a notify
+  // rings `bell`, so one the mark read below misses wakes the poll.
+  signal_->route_to(bell);
+  for (const auto& c : channels_) c->link().poll_fds(fds);
+  // A pulse already pending may belong to a frame that landed after the
+  // caller's last queue inspection, so it is a wake, not noise: the caller
+  // must not sleep, and the mark stays for its next take().
+  return signal_->pending();
+}
+
+std::chrono::nanoseconds ChannelSet::wait_budget(
+    std::chrono::nanoseconds timeout) const {
   auto wait = std::max(timeout, std::chrono::nanoseconds::zero());
   if (const auto due = next_release()) {
     const std::chrono::nanoseconds until = *due - Clock::now();
     wait = std::min(wait, std::max(until, std::chrono::nanoseconds::zero()));
   }
-
-  // Arm BEFORE the caller polls: a notify from here on rings the signal
-  // fd.  A pulse already pending may belong to a frame that landed after
-  // the caller's last queue inspection, so it is a wake, not noise: clamp
-  // the wait to zero and leave the mark for the caller's next take().
-  if (signal_->arm()) wait = std::chrono::nanoseconds::zero();
-
-  fds.push_back(pollfd{.fd = signal_->fd(), .events = POLLIN, .revents = 0});
-  for (const auto& c : channels_) {
-    const int fd = c->link().readable_fd();
-    if (fd >= 0)
-      fds.push_back(pollfd{.fd = fd, .events = POLLIN, .revents = 0});
-  }
   return wait;
 }
 
 bool ChannelSet::wait_any(std::chrono::nanoseconds timeout) {
+  // Frames held inside the fault decorator mature silently: clamp the wait
+  // to the earliest reported release so they are picked up on time
+  // regardless of how long the caller was willing to sleep.
+  auto wait = wait_budget(timeout);
+  transport::Doorbell& bell = signal_->bell();
   // Allocating the poll set per call is fine: this is the idle path.
   std::vector<pollfd> fds;
   fds.reserve(channels_.size() + 1);
-  const auto wait = prepare_wait(fds, timeout);
+  fds.push_back(pollfd{.fd = bell.fd(), .events = POLLIN, .revents = 0});
+  bell.arm();
+  if (prepare_wait(bell, fds)) wait = std::chrono::nanoseconds::zero();
   const bool ready = transport::poll_until(fds, Clock::now() + wait) > 0;
-  finish_wait();
+  bell.disarm();
   // Consume the mark here, before the caller's next drain inspects the
   // queues, so that drain's frames do not wake the following wait again.
   // A clamped timeout that expires is a wake too: the matured frame is now

@@ -2,10 +2,16 @@
 //
 // Owning the endpoints in one object lets the subsystem idle on *all* of
 // them at once: every link shares one ReadySignal (in-process queues notify
-// it) and contributes its kernel fd (sockets), so wait_any() is a single
+// it) and contributes its kernel fds (sockets), so wait_any() is a single
 // transport::poll_until whose wake latency is independent of the channel
 // count, and whose sleep ends a few µs after a decorator's release stamp
 // (see poll_until) rather than at the next whole millisecond.
+//
+// The wait is split so a pool worker can sleep on the channel sets of many
+// subsystems through ONE doorbell: prepare_wait() routes this set's signal
+// to the caller's doorbell (wait_any uses the signal's own), reports a
+// pending pulse, and appends the set's kernel fds.  See transport/ready.hpp
+// for the routing order that keeps every wake.
 //
 // The same facts let a scheduler skip a subsystem that cannot move.  After
 // a slice that made no progress, nothing new can reach the subsystem
@@ -70,7 +76,7 @@ class ChannelSet {
   bool take_signal() { return signal_->take(); }
 
   /// True when every link reports input through the shared signal, i.e.
-  /// the set holds no kernel-fd link (cached by add and replace_link).
+  /// no link appends a poll entry (cached by add and replace_link).
   /// Only then may a scheduler skip the subsystem until take_signal(),
   /// next_release() or its idle hint says it may move.
   [[nodiscard]] bool can_park() const { return !kernel_fd_; }
@@ -80,31 +86,32 @@ class ChannelSet {
   [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
   next_release() const;
 
+  /// `timeout` clamped to the earliest decorator-held frame release (and
+  /// to zero from below): how long wait_any may sleep.
+  [[nodiscard]] std::chrono::nanoseconds wait_budget(
+      std::chrono::nanoseconds timeout) const;
+
   /// Blocks until any channel may have receivable traffic (data, close, or
   /// a decorator-buffered frame maturing), or `timeout` elapses.  Returns
   /// true when woken by possible readiness — possibly spuriously; the
   /// caller's next drain pass decides.  False means the full timeout passed
-  /// with no wake condition.
+  /// with no wake condition.  Sleeps on the shared signal's own doorbell.
   bool wait_any(std::chrono::nanoseconds timeout);
 
-  /// The fan-in half of wait_any, exposed so a worker pool can sleep on the
-  /// channel sets of *several* subsystems in one poll: arms this set's
-  /// shared signal and appends its poll entries (the signal fd plus every
-  /// kernel-backed link fd) to `fds`, returning `timeout` clamped to the
-  /// earliest decorator-buffered frame release, or to zero when a pulse is
-  /// already pending (the mark stays for the next take_signal()).  A return
-  /// value strictly below `timeout` therefore means "treat the expiry as a
-  /// wake".  Pair every call with finish_wait() once the poll returns.
-  std::chrono::nanoseconds prepare_wait(std::vector<pollfd>& fds,
-                                        std::chrono::nanoseconds timeout);
-
-  /// Ends a wait begun by prepare_wait (disarms the shared signal).
-  void finish_wait() { signal_->disarm(); }
+  /// This set's part of a wait on `bell`, which the caller arms before the
+  /// first prepare_wait of the wait and disarms after its poll: routes the
+  /// shared signal's rings to `bell`, appends every kernel-fd link's poll
+  /// entries to `fds`, then reads the pending mark without consuming it.
+  /// True means a pulse is already pending: the caller must not sleep (the
+  /// mark stays for the next take_signal()).  A pool worker prepares every
+  /// owned set against its one doorbell; its wake times already cover
+  /// decorator-held releases (next_release()), which wait_any clamps to.
+  bool prepare_wait(transport::Doorbell& bell, std::vector<pollfd>& fds);
 
  private:
   std::vector<std::unique_ptr<ChannelEndpoint>> channels_;
   transport::ReadySignalPtr signal_;
-  bool kernel_fd_ = false;  // some link has readable_fd() >= 0
+  bool kernel_fd_ = false;  // some link has a kernel fd to poll
 };
 
 /// Brackets a burst of sends: every channel holds its batch open until the

@@ -43,13 +43,13 @@ void park(Entry& entry, Clock::time_point now) {
     entry.wake_at = std::min(entry.wake_at, *due);
 }
 
-/// A parked entry with nothing new to look at: no pulse since its last
-/// slice (this call consumes one), no kernel-fd link it would have to poll,
-/// and its wake time not reached.
-bool skip(const Entry& entry) {
+/// A parked entry with nothing new to look at at `now`: no pulse since its
+/// last slice (this call consumes one), no kernel-fd link it would have to
+/// poll, and its wake time not reached.
+bool skip(const Entry& entry, Clock::time_point now) {
   ChannelSet& channels = entry.subsystem->channel_set();
   const bool pulsed = channels.take_signal();
-  return !pulsed && channels.can_park() && Clock::now() < entry.wake_at;
+  return !pulsed && channels.can_park() && now < entry.wake_at;
 }
 
 /// Best effort: pin the worker to one core so a scheduler thread does not
@@ -85,7 +85,10 @@ class Pool {
 
   void run_worker(std::size_t index) {
     pin_to_core(index);
+    // Every subsystem this worker waits on rings this one bell.
+    const transport::DoorbellLease bell;
     std::vector<Entry> batch;
+    std::vector<pollfd> fds;
     for (;;) {
       batch.clear();
       {
@@ -107,9 +110,12 @@ class Pool {
 
       bool any_progress = false;
       std::size_t kept = 0;
+      // One clock read per pass, refreshed after each slice: a skip check
+      // against a slightly stale clock only defers a wake to the next pass.
+      auto now = Clock::now();
       for (Entry& entry : batch) {
         if (abort_.load(std::memory_order_acquire)) return;
-        if (skip(entry)) {
+        if (skip(entry, now)) {
           batch[kept++] = entry;
           continue;
         }
@@ -123,7 +129,7 @@ class Pool {
         }
         slices_.fetch_add(1, std::memory_order_relaxed);
         any_progress |= progressed;
-        const auto now = Clock::now();
+        now = Clock::now();
         if (progressed) {
           entry.last_progress = now;
           entry.wake_at = {};
@@ -146,8 +152,8 @@ class Pool {
       // owned channel at once until the earliest wake time.  A wake resets
       // the stall clocks, mirroring the single-threaded loop's treatment of
       // wait_any() returning true.
-      if (!any_progress && wait_batch(batch)) {
-        const auto now = Clock::now();
+      if (!any_progress && wait_batch(batch, *bell, fds)) {
+        now = Clock::now();
         for (Entry& entry : batch) entry.last_progress = now;
       }
 
@@ -215,26 +221,28 @@ class Pool {
     idle_.notify_all();
   }
 
-  /// One poll across every channel of every batch member, bounded by the
-  /// members' wake times.  Returns true on a possible wake (fd readiness,
-  /// a pending pulse, or a decorator-held frame maturing before its
-  /// member's wake time).
-  bool wait_batch(const std::vector<Entry>& batch) {
-    std::vector<pollfd> fds;
-    const auto now = Clock::now();
-    auto wait = std::chrono::nanoseconds::max();
-    bool clamped = false;
+  /// One poll on the worker's `bell` and every kernel fd of every batch
+  /// member, until the members' earliest wake time (which covers their
+  /// decorator-held releases: park() set it).  Every member's signal is
+  /// routed to the bell after it is armed and before its pending mark is
+  /// read (ChannelSet::prepare_wait), so a notify the read misses rings
+  /// the bell.  Returns true on a possible wake: fd readiness or a pending
+  /// pulse.
+  static bool wait_batch(const std::vector<Entry>& batch,
+                         transport::Doorbell& bell, std::vector<pollfd>& fds) {
+    fds.assign(1, pollfd{.fd = bell.fd(), .events = POLLIN, .revents = 0});
+    auto wake = Clock::time_point::max();
+    bool pending = false;
+    bell.arm();
     for (const Entry& entry : batch) {
-      const std::chrono::nanoseconds until = entry.wake_at - now;
-      const auto bounded =
-          entry.subsystem->channel_set().prepare_wait(fds, until);
-      clamped |= bounded < until;
-      wait = std::min(wait, bounded);
+      pending |= entry.subsystem->channel_set().prepare_wait(bell, fds);
+      wake = std::min(wake, entry.wake_at);
     }
-    const bool ready = transport::poll_until(fds, now + wait) > 0;
-    for (const Entry& entry : batch)
-      entry.subsystem->channel_set().finish_wait();
-    return ready || clamped;
+    const bool ready =
+        transport::poll_until(fds, pending ? Clock::time_point::min() : wake) >
+        0;
+    bell.disarm();
+    return ready || pending;
   }
 
   const Subsystem::RunConfig config_;

@@ -34,11 +34,19 @@
 //     polling) sees their traffic, and skipping would hold every TCP frame
 //     until the idle hint.  Skipping changes when slices happen, never
 //     what they compute.
-//   * Idle: when a full batch pass makes no progress, the worker builds ONE
-//     poll set spanning every owned subsystem's channels
-//     (ChannelSet::prepare_wait arms each signal) and sleeps until any of
-//     them may have traffic or the earliest wake time — the pooled
-//     generalization of the single-subsystem wait_any.
+//   * Idle: when a full batch pass makes no progress, the worker sleeps
+//     until any owned subsystem may have traffic or the earliest wake time
+//     passes — the pooled generalization of the single-subsystem wait_any.
+//     Each worker leases ONE doorbell for its lifetime
+//     (transport::DoorbellLease).  A wait arms it, then routes every owned
+//     subsystem's signal to it and reads each pending mark
+//     (ChannelSet::prepare_wait), and polls that one fd plus any kernel
+//     fds: however many subsystems it owns and however many of them are
+//     notified, a wait costs at most one fd write and one read.  A steal
+//     re-routes a subsystem at the thief's next wait; a notify that went
+//     to the old bell costs the old owner at most one spurious wake.  A
+//     leased bell is never destroyed, since a peer may notify a subsystem
+//     after its pool returned; the next pool re-leases it.
 //
 // Determinism: a subsystem's event order depends only on its own scheduler
 // queue and the FIFO order of each channel, both of which are independent

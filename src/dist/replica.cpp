@@ -381,12 +381,9 @@ void ReplicaLinkGroup::set_ready_signal(transport::ReadySignalPtr signal) {
   for (Member& mem : members_) mem.link->set_ready_signal(signal_);
 }
 
-int ReplicaLinkGroup::readable_fd() const {
-  for (const Member& mem : members_) {
-    if (!mem.alive) continue;
-    if (const int fd = mem.link->readable_fd(); fd >= 0) return fd;
-  }
-  return -1;
+void ReplicaLinkGroup::poll_fds(std::vector<pollfd>& fds) const {
+  for (const Member& mem : members_)
+    if (mem.alive) mem.link->poll_fds(fds);
 }
 
 std::optional<std::chrono::steady_clock::time_point>

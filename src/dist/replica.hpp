@@ -174,6 +174,9 @@ class ReplicaTagLink final : public transport::Link {
   [[nodiscard]] int readable_fd() const override {
     return inner_->readable_fd();
   }
+  void poll_fds(std::vector<pollfd>& fds) const override {
+    inner_->poll_fds(fds);
+  }
   [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
   next_ready_time() const override {
     return inner_->next_ready_time();
@@ -237,10 +240,11 @@ class ReplicaLinkGroup final : public transport::Link {
   [[nodiscard]] transport::LinkStats stats() const override;
   [[nodiscard]] std::string describe() const override;
   void set_ready_signal(transport::ReadySignalPtr signal) override;
-  /// The first live member's kernel fd, or -1 over in-process members.
-  /// Socket members never notify the shared signal, so the waiter (and the
-  /// executor's park rule) must see that the group is fd-backed.
-  [[nodiscard]] int readable_fd() const override;
+  /// Every live member's poll entries.  Socket members never notify the
+  /// shared signal, so the waiter must watch each of them (a frame can
+  /// arrive on any member), and the executor's park rule must see that the
+  /// group is fd-backed.
+  void poll_fds(std::vector<pollfd>& fds) const override;
   [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
   next_ready_time() const override;
 

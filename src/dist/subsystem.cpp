@@ -275,27 +275,60 @@ void Subsystem::send_or_suppress(ChannelEndpoint& endpoint,
     return;
   endpoint.send_event(net_index, value, time);
   endpoint.replay_cursor = endpoint.output_log.size();
+  if (burst_.open && endpoint.mode() == ChannelMode::kConservative)
+    burst_.barrier = min(burst_.barrier, endpoint.effective_grant());
   traffic_.events_sent++;
   PIA_OBS_TRACE(scheduler_.trace(), obs::TraceKind::kChannelSend, time,
                 endpoint.index, net_index);
 }
 
 Subsystem::StepResult Subsystem::try_advance(VirtualTime horizon) {
+  const BurstScope scope(burst_);
+  return advance_in_burst(horizon);
+}
+
+Subsystem::StepResult Subsystem::advance_in_burst(VirtualTime horizon) {
   const VirtualTime t = scheduler_.next_event_time();
   if (t.is_infinite() || t > horizon) return StepResult::kIdle;
   // Mode-negotiation hold: nothing dispatches (and so nothing sends)
   // between agreeing to a flip and performing it — the straddle-freedom of
   // the renegotiation rests on exactly this.
   if (adaptive_.hold()) return StepResult::kBlocked;
-  if (t > conservative_.barrier()) return StepResult::kBlocked;
+  if (!burst_.open) {
+    burst_.open = true;
+    burst_.barrier = conservative_.barrier();
+    burst_.optimistic = optimistic_.has_optimistic_channel();
+    optimistic_.collect_tails(burst_.tails);
+  }
+#ifndef NDEBUG
+  verify_burst();
+#endif
+  if (t > burst_.barrier) return StepResult::kBlocked;
   // Unconfirmed outputs older than the next dispatch cannot be regenerated
   // any more (send times are monotone): retract them now.
-  optimistic_.flush_unregenerated(t);
+  if (!burst_.tails.empty()) optimistic_.flush_unregenerated(t, burst_.tails);
   scheduler_.step();
   conservative_.note_activity();
-  optimistic_.on_dispatch();
+  if (burst_.optimistic) optimistic_.on_dispatch();
   snapshot_.on_dispatch();
   return StepResult::kStepped;
+}
+
+void Subsystem::verify_burst() const {
+  bool tails_covered = true;
+  for (const auto& c : channels_)
+    if (c->replay_cursor < c->output_log.size() &&
+        std::find(burst_.tails.begin(), burst_.tails.end(), c.get()) ==
+            burst_.tails.end())
+      tails_covered = false;
+  if (burst_.barrier != conservative_.barrier() ||
+      burst_.optimistic != optimistic_.has_optimistic_channel() ||
+      !tails_covered)
+    raise(ErrorKind::kConsistency,
+          "advance burst on '" + name_ + "' cached barrier " +
+              burst_.barrier.str() + " against " +
+              conservative_.barrier().str() +
+              (tails_covered ? "" : ", an unconfirmed tail missed"));
 }
 
 bool Subsystem::quiescent() const {
@@ -331,18 +364,21 @@ std::optional<Subsystem::RunOutcome> Subsystem::run_slice(
   recovery_.service_beacons();
 
   bool blocked = false;
-  for (int burst = 0; burst < 256; ++burst) {
-    const StepResult result = try_advance(config.horizon);
-    if (result == StepResult::kStepped) {
-      progressed = true;
-      // Heavy components make bursts long; keep the beacons flowing.
-      // service_beacons is self-gating on the interval, so this costs one
-      // clock read every 32 dispatches.
-      if ((burst & 31) == 31) recovery_.service_beacons();
-      continue;
+  {
+    const BurstScope scope(burst_);
+    for (int burst = 0; burst < 256; ++burst) {
+      const StepResult result = advance_in_burst(config.horizon);
+      if (result == StepResult::kStepped) {
+        progressed = true;
+        // Heavy components make bursts long; keep the beacons flowing.
+        // service_beacons is self-gating on the interval, so this costs one
+        // clock read every 32 dispatches.
+        if ((burst & 31) == 31) recovery_.service_beacons();
+        continue;
+      }
+      blocked = (result == StepResult::kBlocked);
+      break;
     }
-    blocked = (result == StepResult::kBlocked);
-    break;
   }
 
   conservative_.push_grants();

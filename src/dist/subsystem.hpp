@@ -40,6 +40,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/scheduler.hpp"
@@ -368,6 +369,43 @@ class Subsystem : private sync::EngineContext {
   void send_or_suppress(ChannelEndpoint& endpoint, std::uint32_t net_index,
                         const Value& value, VirtualTime time);
 
+  // --- the advance burst ----------------------------------------------------
+  //
+  // Inside a burst nothing is received: grants, modes and unconfirmed
+  // output tails change only in the drain, rollbacks and restores, all
+  // outside it.  The one change a burst makes itself is a local send,
+  // which can only lower that channel's effective grant.  So the burst's
+  // safe-time state is computed once, at its first dispatch check, and a
+  // conservative send folds its channel's new grant in: every dispatch costs
+  // O(1) in the channel count, and the cache stays exact (DESIGN.md, "the
+  // burst invariant"; builds without NDEBUG re-check it on every dispatch).
+  struct Burst {
+    bool open = false;
+    VirtualTime barrier;       // conservative_.barrier()
+    bool optimistic = false;   // optimistic_.has_optimistic_channel()
+    // Channels with an unconfirmed tail (replay_cursor < output_log.size()).
+    std::vector<ChannelEndpoint*> tails;
+  };
+  /// Closes the burst on scope exit, exceptions included.
+  class BurstScope {
+   public:
+    explicit BurstScope(Burst& burst) : burst_(burst) {}
+    ~BurstScope() {
+      burst_.open = false;
+      burst_.tails.clear();
+    }
+    BurstScope(const BurstScope&) = delete;
+    BurstScope& operator=(const BurstScope&) = delete;
+
+   private:
+    Burst& burst_;
+  };
+  /// One dispatch of the burst in progress, if the grants allow it.
+  StepResult advance_in_burst(VirtualTime horizon);
+  /// Throws kConsistency when the burst's cache differs from a full
+  /// recomputation.
+  void verify_burst() const;
+
   // --- sync::EngineContext (cross-engine service forwarding) ---------------
   [[nodiscard]] ChannelSet& channels() override { return channels_; }
   [[nodiscard]] const ChannelSet& channels() const override {
@@ -452,6 +490,7 @@ class Subsystem : private sync::EngineContext {
   bool started_ = false;
   std::uint32_t channel_batch_limit_ = 64;
   TrafficStats traffic_;
+  Burst burst_;
 
   // Engines are constructed against *this as their EngineContext; they only
   // store the reference, so ordering after channels_ is safe.

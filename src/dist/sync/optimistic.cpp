@@ -34,7 +34,6 @@ SnapshotId OptimisticEngine::take_checkpoint() {
 }
 
 void OptimisticEngine::on_dispatch() {
-  if (!has_optimistic_channel()) return;
   if (++dispatches_since_checkpoint_ >= checkpoint_interval_)
     take_checkpoint();
 }
@@ -219,16 +218,31 @@ bool OptimisticEngine::suppress_regeneration(ChannelEndpoint& endpoint,
   return false;
 }
 
-void OptimisticEngine::flush_unregenerated(VirtualTime upto) {
-  for (auto& cp : ctx_.channels()) {
-    ChannelEndpoint& c = *cp;
-    while (c.replay_cursor < c.output_log.size()) {
-      auto& old = c.output_log[c.replay_cursor];
-      if (!old.retracted && old.time >= upto) break;
-      retract_output(c, old);
-      ++c.replay_cursor;
-    }
+void OptimisticEngine::flush_tail(ChannelEndpoint& c, VirtualTime upto) {
+  while (c.replay_cursor < c.output_log.size()) {
+    auto& old = c.output_log[c.replay_cursor];
+    if (!old.retracted && old.time >= upto) break;
+    retract_output(c, old);
+    ++c.replay_cursor;
   }
+}
+
+void OptimisticEngine::flush_unregenerated(VirtualTime upto) {
+  for (auto& cp : ctx_.channels()) flush_tail(*cp, upto);
+}
+
+void OptimisticEngine::flush_unregenerated(
+    VirtualTime upto, std::vector<ChannelEndpoint*>& tails) {
+  std::erase_if(tails, [&](ChannelEndpoint* c) {
+    flush_tail(*c, upto);
+    return c->replay_cursor >= c->output_log.size();
+  });
+}
+
+void OptimisticEngine::collect_tails(
+    std::vector<ChannelEndpoint*>& tails) const {
+  for (const auto& c : ctx_.channels())
+    if (c->replay_cursor < c->output_log.size()) tails.push_back(c.get());
 }
 
 void OptimisticEngine::scrub_retracted(const SnapshotPositions& positions) {

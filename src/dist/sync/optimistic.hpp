@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "dist/sync/engine_context.hpp"
 
@@ -42,7 +43,7 @@ class OptimisticEngine {
   /// rollback rewind the logs consistently.
   SnapshotId take_checkpoint();
   /// Dispatch cadence: counts one dispatch, checkpointing when the interval
-  /// elapses (only meaningful with an optimistic channel attached).
+  /// elapses.  Call it only while an optimistic channel is attached.
   void on_dispatch();
   void reset_cadence() { dispatches_since_checkpoint_ = 0; }
 
@@ -72,6 +73,12 @@ class OptimisticEngine {
   /// Retracts unconfirmed entries that can no longer be regenerated
   /// because execution reached `upto` (sends are monotone in time).
   void flush_unregenerated(VirtualTime upto);
+  /// The same on `tails` only, which must hold every channel with an
+  /// unconfirmed tail; drops the channels whose tail it used up.
+  void flush_unregenerated(VirtualTime upto,
+                           std::vector<ChannelEndpoint*>& tails);
+  /// Appends every channel with an unconfirmed tail to `tails`.
+  void collect_tails(std::vector<ChannelEndpoint*>& tails) const;
 
   /// Re-schedules a logged input (skipping tombstones).
   void inject_input(ChannelEndpoint& endpoint,
@@ -88,6 +95,8 @@ class OptimisticEngine {
  private:
   void retract_output(ChannelEndpoint& endpoint,
                       ChannelEndpoint::OutputRecord& record);
+  /// flush_unregenerated on one channel.
+  void flush_tail(ChannelEndpoint& c, VirtualTime upto);
 
   EngineContext& ctx_;
   OptimisticStats stats_;

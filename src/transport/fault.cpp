@@ -132,6 +132,9 @@ class FaultLink final : public Link {
   }
 
   int readable_fd() const override { return inner_->readable_fd(); }
+  void poll_fds(std::vector<pollfd>& fds) const override {
+    inner_->poll_fds(fds);
+  }
 
   std::optional<Clock::time_point> next_ready_time() const override {
     // A frame parked in pending_ matures silently at its release stamp —

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "base/bytes.hpp"
 #include "transport/ready.hpp"
@@ -154,18 +155,27 @@ class Link {
   // A link participates in a unified wait through exactly one of two
   // mechanisms.  Queue-backed links (loopback) accept a shared ReadySignal
   // and pulse it whenever a frame becomes receivable or the link closes.
-  // Kernel-fd-backed links (TCP) instead expose the fd so the waiter can
-  // poll it directly.  Decorators forward both calls to the wrapped link.
-  // The defaults — no signal, no fd, no buffered release — make new Link
-  // implementations safe by construction: the waiter simply falls back to
-  // its poll timeout for them.
+  // Kernel-fd-backed links (TCP) instead expose their fds so the waiter can
+  // poll them directly.  Decorators forward these calls to the wrapped
+  // link.  The defaults — no signal, no fd, no buffered release — make new
+  // Link implementations safe by construction: the waiter simply falls
+  // back to its poll timeout for them.
 
   /// Attach the waiter's shared signal.  Replaces any previous signal.
   virtual void set_ready_signal(ReadySignalPtr /*signal*/) {}
 
   /// Kernel fd that turns readable when traffic (or close) arrives, or -1
-  /// when readiness is reported via the ReadySignal instead.
+  /// when readiness is reported via the ReadySignal instead.  A link over
+  /// one socket overrides this; the waiter reads it through poll_fds().
   [[nodiscard]] virtual int readable_fd() const { return -1; }
+
+  /// Appends a POLLIN entry for every kernel fd that turns readable when
+  /// traffic (or close) arrives: readable_fd() by default, every live
+  /// member's fds for a link over several sockets (a replica group).
+  virtual void poll_fds(std::vector<pollfd>& fds) const {
+    if (const int fd = readable_fd(); fd >= 0)
+      fds.push_back(pollfd{.fd = fd, .events = POLLIN, .revents = 0});
+  }
 
   /// Earliest instant a frame already buffered *inside* this link becomes
   /// receivable (the fault decorator holding a stamped frame for

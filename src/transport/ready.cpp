@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <mutex>
+#include <vector>
 
 #include "base/error.hpp"
 
@@ -59,51 +61,69 @@ int poll_until(std::span<pollfd> fds,
   }
 }
 
-void ReadySignal::notify() {
-  pending_.store(true);
-  // The load filters the common case (nobody armed) without a locked
-  // instruction; the exchange lets exactly one notifier ring per arm.
-  if (armed_.load() && armed_.exchange(false)) ring();
-}
-
-bool ReadySignal::take() {
-  return pending_.load(std::memory_order_relaxed) &&
-         pending_.exchange(false, std::memory_order_acquire);
-}
-
-bool ReadySignal::arm() {
-  armed_.store(true);
-  return pending_.load();
-}
-
-void ReadySignal::disarm() {
+void Doorbell::disarm() {
   // The arm was claimed: its notifier has rung the fd or is about to.
   if (!armed_.exchange(false)) ++owed_;
   if (owed_ > 0) owed_ -= std::min(owed_, consume());
 }
 
+namespace {
+
+/// Bells returned by ended leases.  Heap-allocated and never destroyed, like
+/// the bells it holds: a notifier may ring one during static destruction.
+struct BellShelf {
+  std::mutex mutex;
+  std::vector<Doorbell*> free;
+};
+
+BellShelf& shelf() {
+  static auto* const instance = new BellShelf;
+  return *instance;
+}
+
+}  // namespace
+
+DoorbellLease::DoorbellLease() {
+  BellShelf& s = shelf();
+  {
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    if (!s.free.empty()) {
+      bell_ = s.free.back();
+      s.free.pop_back();
+      return;
+    }
+  }
+  bell_ = new Doorbell;
+}
+
+DoorbellLease::~DoorbellLease() {
+  BellShelf& s = shelf();
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  s.free.push_back(bell_);
+}
+
 #ifdef __linux__
 
-ReadySignal::ReadySignal() {
+Doorbell::Doorbell() {
   fds_[0] = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (fds_[0] < 0)
     raise(ErrorKind::kTransport,
-          std::string("ready signal eventfd: ") + std::strerror(errno));
+          std::string("doorbell eventfd: ") + std::strerror(errno));
 }
 
-ReadySignal::~ReadySignal() {
+Doorbell::~Doorbell() {
   if (fds_[0] >= 0) ::close(fds_[0]);
   fds_[0] = -1;
 }
 
-void ReadySignal::ring() {
+void Doorbell::write_fd() {
   const std::uint64_t pulse = 1;
   // Only a notifier that claimed an arm rings, so the counter stays tiny;
   // any error means the signal is mid-destruction.
   [[maybe_unused]] const ssize_t n = ::write(fds_[0], &pulse, sizeof(pulse));
 }
 
-std::uint64_t ReadySignal::consume() {
+std::uint64_t Doorbell::consume() {
   std::uint64_t count = 0;
   for (;;) {
     const ssize_t n = ::read(fds_[0], &count, sizeof(count));
@@ -113,16 +133,16 @@ std::uint64_t ReadySignal::consume() {
     // Anything else (EBADF after a double close, EIO) means the wake
     // mechanism is broken — waiting on it would hang forever, so fail loud.
     raise(ErrorKind::kTransport,
-          std::string("ready signal read: ") + std::strerror(errno));
+          std::string("doorbell read: ") + std::strerror(errno));
   }
 }
 
 #else  // self-pipe fallback for non-Linux hosts
 
-ReadySignal::ReadySignal() {
+Doorbell::Doorbell() {
   if (::pipe(fds_) < 0)
     raise(ErrorKind::kTransport,
-          std::string("ready signal pipe: ") + std::strerror(errno));
+          std::string("doorbell pipe: ") + std::strerror(errno));
   // A silently-blocking pipe end would turn notify() into a deadlock and
   // a doorbell read into a hang, so flag-setting failures must not pass
   // unnoticed.
@@ -136,26 +156,26 @@ ReadySignal::ReadySignal() {
         open_fd = -1;
       }
       raise(ErrorKind::kTransport,
-            std::string("ready signal fcntl: ") + std::strerror(saved));
+            std::string("doorbell fcntl: ") + std::strerror(saved));
     }
   }
 }
 
-ReadySignal::~ReadySignal() {
+Doorbell::~Doorbell() {
   for (int& fd : fds_) {
     if (fd >= 0) ::close(fd);
     fd = -1;
   }
 }
 
-void ReadySignal::ring() {
+void Doorbell::write_fd() {
   const char pulse = 1;
   // Only a notifier that claimed an arm rings, so the pipe never fills;
   // any error means the signal is mid-destruction.
   [[maybe_unused]] const ssize_t n = ::write(fds_[1], &pulse, 1);
 }
 
-std::uint64_t ReadySignal::consume() {
+std::uint64_t Doorbell::consume() {
   char sink[256];
   std::uint64_t count = 0;
   for (;;) {
@@ -170,7 +190,7 @@ std::uint64_t ReadySignal::consume() {
     // Anything else (EBADF after a double close, EIO) means the wake
     // mechanism is broken — waiting on it would hang forever, so fail loud.
     raise(ErrorKind::kTransport,
-          std::string("ready signal read: ") + std::strerror(errno));
+          std::string("doorbell read: ") + std::strerror(errno));
   }
 }
 

@@ -1,36 +1,53 @@
-// ReadySignal: a process-internal readiness doorbell shared by many Links.
+// ReadySignal and Doorbell: process-internal readiness for idle waits.
 //
 // A subsystem idling on N channels must not scan them sequentially (worst
 // case N × poll-timeout wake latency).  Instead every in-process link of the
 // subsystem shares one ReadySignal: a sender notifies it when a frame lands
 // in a queue the subsystem might be sleeping on, and the subsystem's single
-// wait includes the signal's fd alongside the kernel fds of any socket
-// links.  Wake latency is then one poll() round regardless of channel count.
+// wait includes a doorbell fd alongside the kernel fds of any socket links.
+// Wake latency is then one poll() round regardless of channel count.
 //
-// The signal is two atomic flags in front of a kernel doorbell (an eventfd
-// on Linux, a self-pipe elsewhere):
-//   * `pending` says "a sender signalled since the last take()".  notify()
-//     sets it; take() consumes it with no syscall.  A scheduler that only
-//     wants to know whether a subsystem may have input (the pooled
-//     executor's park check) never touches the fd.
-//   * `armed` says "a waiter is about to sleep on the fd".  Only the first
-//     notify() after arm() writes the fd (it claims the arm by clearing
-//     it), so a sender pays a syscall only when someone may be asleep.
+// The two halves are separate objects, so one sleeper can watch many
+// signals through one fd:
+//   * A ReadySignal is a `pending` flag plus a route.  notify() sets
+//     `pending` and rings the doorbell the route names; take() consumes the
+//     flag with no syscall.  A scheduler that only wants to know whether a
+//     subsystem may have input (the pooled executor's park check) never
+//     touches an fd.
+//   * A Doorbell is an `armed` flag in front of a kernel fd (an eventfd on
+//     Linux, a self-pipe elsewhere).  Only the first ring after arm() writes
+//     the fd (it claims the arm by clearing it), so a sender pays a syscall
+//     only when someone may be asleep.
+// Each signal owns a doorbell, which Subsystem::run's wait_any sleeps on.  A
+// pool worker instead routes every signal it owns to its own leased
+// doorbell, so any number of notifies to its subsystems cost at most one
+// fd write per wait, and its wait polls one fd.
 //
-// A wait is arm() → poll → disarm().  arm() stores `armed` and then
-// re-reads `pending`; notify() stores `pending` and then reads `armed`.
-// Both pairs are sequentially consistent, so (Dekker) at least one side
-// sees the other's store: either the waiter sees `pending` and does not
-// sleep, or the notifier sees `armed` and writes the fd, which wakes the
-// poll.  No pulse is lost in between.  disarm() clears `armed`; if a
+// A wait is: arm the bell; for each watched signal, route it to the bell and
+// then read its `pending` (any set: do not sleep); poll; disarm.  So a
+// signal's route and the bell's arm both precede its pending read; notify()
+// stores `pending`, then loads the route, then the bell's `armed`.  All of these are sequentially consistent,
+// so (Dekker) if the waiter's read misses a pulse, the notifier's loads come
+// after the waiter's route and arm stores and it rings the waiter's fd.  A
+// signal re-routed to another waiter's bell (a pool steal) is covered the
+// same way by the new owner's wait; a ring sent down the old route costs the
+// old bell at most one spurious wake.  disarm() clears `armed`; if a
 // notifier had already claimed it, its fd write is (or is about to be)
 // there, and disarm() reads it back so the next wait does not wake on a
 // stale doorbell.  A write that has not landed yet is remembered and read
 // by a later disarm(): at most one spurious wake, never a busy spin.
+// DESIGN.md ("The doorbell") gives the proof in full.
 //
-// The waiter side (take/arm/disarm) belongs to one thread at a time; the
-// pooled executor hands a subsystem between workers under its queue mutex.
-// notify() is safe from any thread and never blocks.
+// A notifier may hold a route after the waiter has gone: a peer keeps
+// sending after the pool that owned the receiver returned.  So a bell must
+// outlive every notifier.  A signal's own bell lives as long as the signal,
+// which its links share; a worker's bell is leased from a process-wide free
+// list and never destroyed, and the next pool re-leases it, so repeated runs
+// open no new fds.
+//
+// The waiter side (take, route, arm, disarm) belongs to one thread at a
+// time; the pooled executor hands a subsystem between workers under its
+// queue mutex.  notify() is safe from any thread and never blocks.
 //
 // poll_until is the one sleep in the library: link receives, decorator
 // release waits, connect backoff, the subsystem wait and the pooled executor
@@ -66,50 +83,108 @@ namespace pia::transport {
 int poll_until(std::span<pollfd> fds,
                std::chrono::steady_clock::time_point deadline);
 
-class ReadySignal {
+/// The kernel half of a wait: an `armed` flag in front of a kernel fd.
+class Doorbell {
  public:
-  ReadySignal();
-  ~ReadySignal();
+  Doorbell();
+  ~Doorbell();
 
-  ReadySignal(const ReadySignal&) = delete;
-  ReadySignal& operator=(const ReadySignal&) = delete;
+  Doorbell(const Doorbell&) = delete;
+  Doorbell& operator=(const Doorbell&) = delete;
 
-  /// Marks the signal pending, and rings the fd when a waiter is armed.
-  /// Safe to call from any thread, never blocks.
-  void notify();
+  /// Announces that the caller is about to sleep on fd().  Precedes the
+  /// `pending` reads of every signal routed here.
+  void arm() { armed_.store(true); }
 
-  /// Consumes the pending mark, without a syscall.  True means a sender
-  /// signalled since the last take(), so the guarded queues must be
-  /// re-inspected.  Take *before* inspecting: a pulse that races the
-  /// inspection leaves the mark set for the next take().
-  bool take();
-
-  /// Announces that the caller is about to sleep on fd().  Returns true when
-  /// a pulse is already pending: the caller must not sleep (it polls with a
-  /// zero budget).  The mark stays set for the next take().
-  bool arm();
-
-  /// Ends a wait begun by arm(), consuming the fd doorbell if a notifier
-  /// rang it.
+  /// Ends a wait begun by arm(), consuming the fd if a notifier rang it.
   void disarm();
+
+  /// Writes the fd when a waiter is armed; of several concurrent rings only
+  /// the one that claims the arm writes.  Safe from any thread.
+  void ring() {
+    // The load filters the common case (nobody armed) without a locked
+    // instruction; the exchange lets exactly one notifier ring per arm.
+    if (armed_.load() && armed_.exchange(false)) write_fd();
+  }
 
   /// The fd a waiter adds to its poll set between arm() and disarm()
   /// (POLLIN once a notifier rang it).
   [[nodiscard]] int fd() const { return fds_[0]; }
 
  private:
-  /// Writes the doorbell: one ring.
-  void ring();
-  /// Reads the doorbell without blocking; returns how many rings it read.
+  /// Writes one ring to the fd.
+  void write_fd();
+  /// Reads the fd without blocking; returns how many rings it read.
   std::uint64_t consume();
 
-  std::atomic<bool> pending_{false};
   std::atomic<bool> armed_{false};
   // Rings claimed by notifiers that disarm() has not read yet.  Waiter-side
   // state, like arm() and disarm() themselves.
   std::uint64_t owed_ = 0;
   // eventfd mode uses fds_[0] only; pipe mode uses both ends.
   int fds_[2] = {-1, -1};
+};
+
+/// A pool worker's doorbell, leased from a process-wide free list for the
+/// lease's lifetime.  The bell itself is never destroyed (a notifier may
+/// still hold a route to it); the next lease reuses it.
+class DoorbellLease {
+ public:
+  DoorbellLease();
+  ~DoorbellLease();
+
+  DoorbellLease(const DoorbellLease&) = delete;
+  DoorbellLease& operator=(const DoorbellLease&) = delete;
+
+  [[nodiscard]] Doorbell& operator*() const { return *bell_; }
+  [[nodiscard]] Doorbell* operator->() const { return bell_; }
+
+ private:
+  Doorbell* bell_;
+};
+
+class ReadySignal {
+ public:
+  ReadySignal() = default;
+
+  ReadySignal(const ReadySignal&) = delete;
+  ReadySignal& operator=(const ReadySignal&) = delete;
+
+  /// Marks the signal pending and rings the routed doorbell (which writes
+  /// its fd only for an armed waiter).  Safe to call from any thread, never
+  /// blocks.
+  void notify() {
+    pending_.store(true);
+    route_.load()->ring();
+  }
+
+  /// Consumes the pending mark, without a syscall.  True means a sender
+  /// signalled since the last take(), so the guarded queues must be
+  /// re-inspected.  Take *before* inspecting: a pulse that races the
+  /// inspection leaves the mark set for the next take().
+  bool take() {
+    return pending_.load(std::memory_order_relaxed) &&
+           pending_.exchange(false, std::memory_order_acquire);
+  }
+
+  /// Sends later notifies to `bell`.  A waiter routes before it reads
+  /// pending(); only the waiter that owns the signal routes it.
+  void route_to(Doorbell& bell) {
+    if (route_.load(std::memory_order_relaxed) != &bell) route_.store(&bell);
+  }
+
+  /// True when a pulse is pending, without consuming it.  After route_to()
+  /// and the bell's arm(), false means any later notify rings that bell.
+  [[nodiscard]] bool pending() const { return pending_.load(); }
+
+  /// The signal's own doorbell, for a waiter that watches only this signal
+  /// (ChannelSet::wait_any).  It lives as long as the signal.
+  [[nodiscard]] Doorbell& bell() { return own_; }
+
+ private:
+  std::atomic<bool> pending_{false};
+  Doorbell own_;
+  std::atomic<Doorbell*> route_{&own_};
 };
 
 using ReadySignalPtr = std::shared_ptr<ReadySignal>;

@@ -5,7 +5,9 @@
 
 A record with one changed `*_events` count must exit 1 and name the key; the
 committed record against itself, and a record whose only changes are times,
-must exit 0.
+must exit 0.  On a scale-out sweep record the `events_*` cells gate too: a
+capped run (only the N <= 100 cells) passes with --subset and fails without
+it, and a changed cell fails either way.
 """
 
 import json
@@ -19,12 +21,46 @@ TOOL = os.path.join(ROOT, "tools", "bench_compare.py")
 DATA = os.path.join(ROOT, "tests", "data")
 COMMITTED = os.path.join(DATA, "bench_compare_committed.json")
 CHANGED_COUNT = os.path.join(DATA, "bench_compare_changed_count.json")
+SCALEOUT = os.path.join(DATA, "bench_compare_scaleout_committed.json")
 
 
-def run(new, committed):
-    result = subprocess.run([sys.executable, TOOL, new, committed],
+def run(new, committed, *flags):
+    result = subprocess.run([sys.executable, TOOL, *flags, new, committed],
                             capture_output=True, text=True)
     return result.returncode, result.stdout + result.stderr
+
+
+def write(tmp, name, record):
+    path = os.path.join(tmp, name)
+    with open(path, "w") as f:
+        json.dump(record, f)
+    return path
+
+
+def check_sweep(tmp, failures):
+    """The events_* cells of a sweep record, with and without --subset."""
+    with open(SCALEOUT) as f:
+        sweep = json.load(f)
+    capped = {k: v for k, v in sweep.items() if "n1000_" not in k}
+    capped["max_n"] = 100
+    path = write(tmp, "capped.json", capped)
+    code, out = run(path, SCALEOUT, "--subset")
+    if code != 0 or "ok   events_n10_s1_w1_per" not in out:
+        failures.append(f"capped sweep, --subset: exit {code}, expected 0\n{out}")
+    code, out = run(path, SCALEOUT)
+    if code != 1 or "FAIL events_n1000_s1_w1_per" not in out:
+        failures.append(f"capped sweep, strict: exit {code}, expected 1\n{out}")
+
+    capped["events_n10_s1_w1_agg"] += 1
+    path = write(tmp, "capped_changed.json", capped)
+    code, out = run(path, SCALEOUT, "--subset")
+    if code != 1 or "FAIL events_n10_s1_w1_agg" not in out:
+        failures.append(f"changed sweep cell: exit {code}, expected 1\n{out}")
+
+    path = write(tmp, "unrelated.json", {"bench": "scaleout", "max_n": 1})
+    code, out = run(path, SCALEOUT, "--subset")
+    if code != 1 or "no exact count in common" not in out:
+        failures.append(f"no shared cell: exit {code}, expected 1\n{out}")
 
 
 def main():
@@ -57,6 +93,8 @@ def main():
         code, out = run(missing, COMMITTED)
         if code != 1 or "FAIL remote_packet_channel_msgs" not in out:
             failures.append(f"missing count: exit {code}, expected 1\n{out}")
+
+        check_sweep(tmp, failures)
 
     for failure in failures:
         print(failure)

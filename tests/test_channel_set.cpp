@@ -4,12 +4,14 @@
 // channel count (the old idle path polled channels sequentially at 1 ms
 // each, so traffic on the last channel paid N × 1 ms before being noticed).
 // Also pins the sub-millisecond wait budget, which sets may be parked by
-// the pooled executor (none holding a kernel-fd link), and
-// transport::poll_until's never-early contract.  Timing asserts are lower
-// bounds only, so load on the host cannot make them fail.
+// the pooled executor (none holding a kernel-fd link), the wake on every
+// socket member of a replica group, and transport::poll_until's never-early
+// contract.  Upper bounds on a wake sit far above the expected latency, so
+// load on the host cannot make them fail.
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -167,10 +169,7 @@ TEST(ChannelSetWait, BudgetKeepsSubMillisecondRelease) {
   endpoint->index = 0;
   set.add(std::move(endpoint));
 
-  std::vector<pollfd> fds;
-  const auto budget = set.prepare_wait(fds, milliseconds(10));
-  EXPECT_LE(budget, microseconds(200));
-  EXPECT_FALSE(fds.empty());  // the shared signal is always polled
+  EXPECT_LE(set.wait_budget(milliseconds(10)), microseconds(200));
 }
 
 std::unique_ptr<ChannelEndpoint> endpoint_over(transport::LinkPtr link,
@@ -180,6 +179,63 @@ std::unique_ptr<ChannelEndpoint> endpoint_over(transport::LinkPtr link,
       std::move(link), 1);
   endpoint->index = index;
   return endpoint;
+}
+
+/// A quiet link that, once primed, notifies its ready signal from inside
+/// the next poll_fds() query: a sender's notify landing in the middle of a
+/// waiter's prepare_wait, at a point fixed by the test.
+class NotifyOnQueryLink final : public transport::Link {
+ public:
+  void prime() { primed_ = true; }
+
+  void send(BytesView, std::uint32_t) override {}
+  std::optional<Bytes> try_recv() override { return std::nullopt; }
+  std::optional<Bytes> recv_for(milliseconds) override { return std::nullopt; }
+  void close() override {}
+  [[nodiscard]] bool closed() const override { return false; }
+  [[nodiscard]] transport::LinkStats stats() const override { return {}; }
+  [[nodiscard]] std::string describe() const override { return "notifier"; }
+  void set_ready_signal(transport::ReadySignalPtr signal) override {
+    signal_ = std::move(signal);
+  }
+  void poll_fds(std::vector<pollfd>&) const override {
+    if (primed_ && signal_) {
+      primed_ = false;
+      signal_->notify();
+    }
+  }
+
+ private:
+  transport::ReadySignalPtr signal_;
+  mutable bool primed_ = false;
+};
+
+TEST(ChannelSetWait, NotifyDuringPrepareIsSeenOrRingsTheNewBell) {
+  // A set moves from one waiter's doorbell to another's (a pool steal).
+  // The new owner's prepare_wait routes the set to its bell before reading
+  // the set's mark, so a notify landing between the two must either show
+  // as a pending mark or ring the new bell.  Reading the mark
+  // before routing loses it: the notify rings the old, disarmed bell.
+  ChannelSet set;
+  auto link = std::make_unique<NotifyOnQueryLink>();
+  NotifyOnQueryLink& notifier = *link;
+  set.add(endpoint_over(std::move(link), 0));
+  transport::Doorbell old_bell;
+  transport::Doorbell new_bell;
+  std::vector<pollfd> fds;
+  old_bell.arm();
+  set.prepare_wait(old_bell, fds);
+  old_bell.disarm();
+
+  new_bell.arm();
+  notifier.prime();
+  const bool pending = set.prepare_wait(new_bell, fds);
+  pollfd p{.fd = new_bell.fd(), .events = POLLIN, .revents = 0};
+  const bool rang = ::poll(&p, 1, 0) == 1;
+  new_bell.disarm();
+  EXPECT_TRUE(pending || rang)
+      << "the notify went to the old bell and the mark was not seen";
+  EXPECT_TRUE(set.take_signal());
 }
 
 TEST(ChannelSetPark, OnlySetsWithoutKernelFdLinksMayPark) {
@@ -214,8 +270,33 @@ TEST(ChannelSetPark, OnlySetsWithoutKernelFdLinksMayPark) {
   EXPECT_FALSE(replicated.can_park());
 }
 
+TEST(ChannelSetWait, WakesOnEveryTcpMemberOfAReplicaGroup) {
+  // A replica group of socket members must offer every live member's fd to
+  // the wait: a frame that arrives on the second member only used to sleep
+  // out the whole budget, because the group offered its first member's fd.
+  std::vector<transport::LinkPtr> far;
+  ChannelSet set;
+  auto group = std::make_unique<ReplicaLinkGroup>("g");
+  for (int k = 0; k < 2; ++k) {
+    auto member = make_wire_pair(Wire::kTcp);
+    group->add_member(std::move(member.a));
+    far.push_back(std::move(member.b));
+  }
+  set.add(endpoint_over(std::move(group), 0));
+  std::thread sender([&] {
+    std::this_thread::sleep_for(milliseconds(20));
+    far[1]->send(payload());
+  });
+  const auto start = steady_clock::now();
+  const bool woke = set.wait_any(std::chrono::seconds(5));
+  const auto elapsed = since(start);
+  sender.join();
+  EXPECT_TRUE(woke);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
 TEST(PollUntil, NeverReturnsBeforeTheDeadline) {
-  transport::ReadySignal quiet;
+  transport::Doorbell quiet;
   for (const auto wait : {microseconds(300), microseconds(3000)}) {
     pollfd pfd{.fd = quiet.fd(), .events = POLLIN, .revents = 0};
     const auto start = steady_clock::now();

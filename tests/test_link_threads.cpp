@@ -1,7 +1,8 @@
 // Thread-safety storms for the Link implementations, the loopback queue's
 // borrowed-view receive path, the ReadySignal doorbell contract (arm /
-// notify / take / disarm) and ChannelSet::wait_any, and the NodeExecutor
-// worker pool, including which subsystems it parks.  Everything here is
+// notify / take / disarm) and ChannelSet::wait_any, doorbell routing (many
+// sets on one worker's bell, sets re-routed by a steal), and the
+// NodeExecutor worker pool, including which subsystems it parks.  Everything here is
 // about concurrency: FIFO order under sender/receiver/stats races, views
 // against a racing producer, close() mid-storm, lost-wakeup windows, EINTR
 // resilience, and bit-exact pooled execution.  Run under ThreadSanitizer
@@ -17,12 +18,17 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/error.hpp"
+#include "base/rng.hpp"
 #include "dist/executor.hpp"
 #include "dist/node.hpp"
 #include "dist_helpers.hpp"
@@ -225,14 +231,23 @@ TEST(LinkStorm, LoopbackBorrowedViewFifoUnderSendRace) {
 
 // --- ReadySignal hardening regressions -----------------------------------
 
+/// The first half of a wait on the signal's own doorbell, as
+/// ChannelSet::wait_any runs it: route, arm, then read the mark.  True means
+/// a pulse is pending and the waiter must not sleep.
+bool arm_own_bell(ReadySignal& signal) {
+  signal.route_to(signal.bell());
+  signal.bell().arm();
+  return signal.pending();
+}
+
 TEST(ReadySignal, DrainOnEmptyPipeReturnsQuietly) {
   // A wait nobody notified: no mark to take, nothing rung, and disarm()
   // must neither throw nor leave the fd readable.
   ReadySignal signal;
   EXPECT_FALSE(signal.take());
-  EXPECT_FALSE(signal.arm());
-  signal.disarm();
-  pollfd p{signal.fd(), POLLIN, 0};
+  EXPECT_FALSE(arm_own_bell(signal));
+  signal.bell().disarm();
+  pollfd p{signal.bell().fd(), POLLIN, 0};
   EXPECT_EQ(::poll(&p, 1, 0), 0);
 }
 
@@ -241,11 +256,11 @@ TEST(ReadySignal, DrainConsumesEveryQueuedPulse) {
   // ring back, so no stale doorbell is left to busy-spin on.  The pending
   // mark survives the wait for the next take().
   ReadySignal signal;
-  ASSERT_FALSE(signal.arm());
+  ASSERT_FALSE(arm_own_bell(signal));
   for (int i = 0; i < 64; ++i) signal.notify();
-  pollfd p{signal.fd(), POLLIN, 0};
+  pollfd p{signal.bell().fd(), POLLIN, 0};
   EXPECT_EQ(::poll(&p, 1, 0), 1);
-  signal.disarm();
+  signal.bell().disarm();
   EXPECT_EQ(::poll(&p, 1, 0), 0);
   EXPECT_TRUE(signal.take());
   EXPECT_FALSE(signal.take());
@@ -257,14 +272,14 @@ TEST(ReadySignal, UnarmedNotifyMarksPendingWithoutRinging) {
   ReadySignal signal;
   signal.notify();
   signal.notify();
-  pollfd p{signal.fd(), POLLIN, 0};
+  pollfd p{signal.bell().fd(), POLLIN, 0};
   EXPECT_EQ(::poll(&p, 1, 0), 0);
   EXPECT_TRUE(signal.take());
   EXPECT_FALSE(signal.take());
   // A mark already pending when the waiter arms tells it not to sleep.
   signal.notify();
-  EXPECT_TRUE(signal.arm());
-  signal.disarm();
+  EXPECT_TRUE(arm_own_bell(signal));
+  signal.bell().disarm();
   EXPECT_TRUE(signal.take());
 }
 
@@ -273,14 +288,14 @@ TEST(ReadySignal, NotifyBetweenArmAndPollWakesThePoll) {
   // then a sender notifies before the waiter reaches its poll.  The ring
   // must already be there when the poll starts.
   ReadySignal signal;
-  ASSERT_FALSE(signal.arm());
+  ASSERT_FALSE(arm_own_bell(signal));
   std::thread sender([&] { signal.notify(); });
   sender.join();
-  pollfd p{signal.fd(), POLLIN, 0};
+  pollfd p{signal.bell().fd(), POLLIN, 0};
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(poll_until({&p, 1}, start + 10s), 1);
   EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
-  signal.disarm();
+  signal.bell().disarm();
   EXPECT_EQ(::poll(&p, 1, 0), 0);
   EXPECT_TRUE(signal.take());
 }
@@ -289,7 +304,7 @@ TEST(ReadySignal, ReadEndIsNonBlocking) {
   // The ctor must verify its fcntl calls; a blocking read end would hang
   // drain() forever on an empty pipe.
   ReadySignal signal;
-  const int flags = ::fcntl(signal.fd(), F_GETFL);
+  const int flags = ::fcntl(signal.bell().fd(), F_GETFL);
   ASSERT_GE(flags, 0);
   EXPECT_TRUE(flags & O_NONBLOCK);
 }
@@ -386,11 +401,11 @@ TEST(DoorbellStorm, WaiterReceivesEveryFrameAndNeverSleepsToItsDeadline) {
     consumed.store(next, std::memory_order_release);
     if (next == total) break;
     if (round % 2 == 1) std::this_thread::yield();
-    const bool pending = signal->arm();
-    pollfd p{signal->fd(), POLLIN, 0};
+    const bool pending = arm_own_bell(*signal);
+    pollfd p{signal->bell().fd(), POLLIN, 0};
     const auto now = std::chrono::steady_clock::now();
     const int ready = poll_until({&p, 1}, pending ? now : now + 10s);
-    signal->disarm();
+    signal->bell().disarm();
     if (pending) continue;
     ++sleeps;
     ASSERT_EQ(ready, 1) << "slept to the deadline with frame " << next
@@ -632,6 +647,229 @@ TEST(NodeExecutor, ParkedReceiverGetsDelayedFramesAfterTheirStamp) {
               std::chrono::microseconds(200))
         << "frame " << i << " delivered before its stamp";
   }
+}
+
+// --- Doorbell routing: many channel sets, one doorbell per waiter ---------
+
+/// `n` channel sets of one loopback channel each, as a pool worker's batch
+/// sees them, with the far ends kept for notifier threads.
+struct SetFarm {
+  static constexpr auto kDeadline = 5s;
+
+  std::vector<std::unique_ptr<ChannelSet>> sets;
+  std::vector<transport::LinkPtr> far;
+  std::atomic<std::uint64_t> sent{0};
+  std::atomic<std::uint64_t> consumed{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> deadline_sleeps{0};
+
+  explicit SetFarm(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      auto pair = transport::make_loopback_pair();
+      auto endpoint = std::make_unique<ChannelEndpoint>(
+          "c" + std::to_string(i), ChannelMode::kConservative,
+          std::move(pair.a), 1);
+      sets.push_back(std::make_unique<ChannelSet>());
+      sets.back()->add(std::move(endpoint));
+      far.push_back(std::move(pair.b));
+    }
+  }
+
+  /// The pool's per-entry check: take the pulse, and only then drain.
+  void drain(std::size_t i) {
+    if (!sets[i]->take_signal()) return;
+    while (sets[i]->at(ChannelId{0}).link().try_recv())
+      consumed.fetch_add(1, std::memory_order_acq_rel);
+  }
+
+  /// One pool wait over `owned` on `bell`: arm, route and read each set's
+  /// mark (prepare_wait), poll, disarm.  Counts a sleep to the deadline
+  /// while the farm runs: a lost wake, since a notifier is always waiting
+  /// for its frame to be consumed.
+  void wait(const std::vector<std::size_t>& owned, transport::Doorbell& bell,
+            std::vector<pollfd>& fds) {
+    fds.assign(1, pollfd{.fd = bell.fd(), .events = POLLIN, .revents = 0});
+    bell.arm();
+    bool pending = false;
+    for (const std::size_t i : owned)
+      pending |= sets[i]->prepare_wait(bell, fds);
+    const auto now = std::chrono::steady_clock::now();
+    const int ready =
+        transport::poll_until(fds, pending ? now : now + kDeadline);
+    bell.disarm();
+    if (ready == 0 && !pending && !stop.load()) deadline_sleeps.fetch_add(1);
+  }
+
+  /// Runs `rounds` lockstep rounds of `notifiers` threads: in round r (from
+  /// 1) the first 1 + (r - 1) % notifiers of them each send one frame to a
+  /// random set, and the next round starts once every frame is consumed.
+  /// In a round with one sender nothing else can wake a waiter whose notify
+  /// was lost, so it sleeps to its deadline; the storm ends at the first
+  /// such sleep.  Then stops the waiters.
+  void storm(std::uint32_t rounds, std::uint32_t notifiers) {
+    std::atomic<std::uint32_t> round{0};
+    std::vector<std::thread> threads;
+    for (std::uint32_t n = 0; n < notifiers; ++n) {
+      threads.emplace_back([&, n] {
+        Rng rng(0x5eed + n);
+        for (std::uint32_t seen = 0;;) {
+          std::uint32_t r = round.load(std::memory_order_acquire);
+          while (r == seen) {
+            std::this_thread::yield();
+            r = round.load(std::memory_order_acquire);
+          }
+          seen = r;
+          if (r > rounds) return;
+          if (n < 1 + (r - 1) % notifiers) {
+            far[rng.below(far.size())]->send(transport::frame_for(0));
+            sent.fetch_add(1, std::memory_order_acq_rel);
+          }
+        }
+      });
+    }
+    std::uint64_t expected = 0;
+    Rng jitter(0x71773);
+    for (std::uint32_t r = 1; r <= rounds && deadline_sleeps.load() == 0;
+         ++r) {
+      expected += 1 + (r - 1) % notifiers;
+      // Start rounds at random points of the waiters' cycles.
+      for (auto spin = jitter.below(64); spin > 0; --spin)
+        std::this_thread::yield();
+      round.store(r, std::memory_order_release);
+      while (sent.load() < expected || consumed.load() < expected)
+        std::this_thread::yield();
+    }
+    round.store(rounds + 1, std::memory_order_release);
+    for (auto& t : threads) t.join();
+    stop.store(true);
+    // Wake every waiter so it sees `stop`.
+    for (auto& link : far) link->send(transport::frame_for(0));
+    sent.fetch_add(far.size());
+  }
+
+  /// Drains whatever the waiters left and checks every frame was consumed.
+  void expect_all_consumed() {
+    for (std::size_t i = 0; i < sets.size(); ++i) drain(i);
+    EXPECT_EQ(consumed.load(), sent.load());
+    EXPECT_EQ(deadline_sleeps.load(), 0) << "a wait slept to its deadline";
+  }
+};
+
+TEST(DoorbellRouting, HundredSetsOnOneBellLoseNoWake) {
+  // One waiter owns 100 sets and sleeps on one doorbell, running the full
+  // pool cycle every round: take and drain each set, then arm the bell,
+  // route and read each set's mark, poll, disarm.  It yields between the
+  // drain and the arm on alternate rounds, the window in which a frame can
+  // land unseen and its notify find the bell unarmed.
+  SetFarm farm(100);
+  std::vector<std::size_t> all(farm.sets.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::thread waiter([&] {
+    const transport::DoorbellLease bell;
+    std::vector<pollfd> fds;
+    for (std::uint64_t round = 0; !farm.stop.load(); ++round) {
+      for (const std::size_t i : all) farm.drain(i);
+      if (round % 2 == 1) std::this_thread::yield();
+      farm.wait(all, *bell, fds);
+    }
+  });
+  farm.storm(4000, 4);
+  waiter.join();
+  farm.expect_all_consumed();
+}
+
+TEST(DoorbellRouting, StealReroutesASetWithoutLosingAWake) {
+  // Two waiters, each with its own doorbell, pass sets between them the
+  // way pool workers steal: a worker takes its whole queue as a batch (a
+  // batch in flight cannot be stolen), and every round it first takes half
+  // of the other's queue.  A stolen set stays routed to its old owner's bell until the
+  // thief's next wait routes it, so a notify in between rings the old
+  // bell; the thief's own take-then-route-then-read order must still see
+  // every frame.
+  SetFarm farm(100);
+  std::mutex mutex;
+  std::vector<std::size_t> queues[2];
+  for (std::size_t i = 0; i < farm.sets.size(); ++i) queues[i % 2].push_back(i);
+  std::atomic<std::uint64_t> steals{0};
+  auto worker = [&](std::size_t self) {
+    const transport::DoorbellLease bell;
+    std::vector<std::size_t> batch;
+    std::vector<pollfd> fds;
+    for (std::uint64_t round = 0; !farm.stop.load(); ++round) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        auto& victim = queues[1 - self];
+        if (!victim.empty()) {
+          const std::size_t take = (victim.size() + 1) / 2;
+          queues[self].insert(queues[self].end(), victim.end() - take,
+                              victim.end());
+          victim.resize(victim.size() - take);
+          steals.fetch_add(1);
+        }
+        batch.swap(queues[self]);
+        queues[self].clear();
+      }
+      if (!batch.empty()) {
+        for (const std::size_t i : batch) farm.drain(i);
+        if (round % 2 == 1) std::this_thread::yield();
+        farm.wait(batch, *bell, fds);
+        const std::lock_guard<std::mutex> lock(mutex);
+        queues[self].insert(queues[self].end(), batch.begin(), batch.end());
+        batch.clear();
+      }
+      std::this_thread::yield();  // let the other worker steal
+    }
+  };
+  std::thread a(worker, 0);
+  std::thread b(worker, 1);
+  farm.storm(4000, 4);
+  a.join();
+  b.join();
+  farm.expect_all_consumed();
+  EXPECT_GT(steals.load(), 0u);
+}
+
+/// Open file descriptors of this process, or -1 where /proc is missing.
+int open_fd_count() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/fd", error);
+  if (error) return -1;
+  return static_cast<int>(std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+/// One pooled run of a subsystem whose only channel leads to a link nobody
+/// drives: it parks, its signal routed to the worker's doorbell, until the
+/// stall timeout ends it.  Then, with the pool and its worker gone, the
+/// peer sends a frame.
+Subsystem::RunOutcome run_parked_pool_then_send() {
+  NodeCluster cluster;
+  PiaNode& node = cluster.add_node("pool");
+  transport::LinkPair far = make_wire_pair(Wire::kLoopback);
+  node.add_subsystem("quiet").add_channel(
+      "dangling", ChannelMode::kConservative, std::move(far.a));
+  cluster.start_all();
+  Subsystem::RunOutcome outcome{};
+  {
+    NodeExecutor executor(node.subsystems(), 1);
+    outcome =
+        executor.run(Subsystem::RunConfig{.stall_timeout = 1ms}).at("quiet");
+  }
+  far.b->send(transport::frame_for(0));
+  return outcome;
+}
+
+TEST(NodeExecutor, NotifyAfterRunReturnedIsSafeAndRunsLeakNoFds) {
+  // A peer may send after the pool that owned the receiver returned: the
+  // notify then rings the doorbell the receiver's signal was last routed
+  // to, a worker's bell.  That bell must still exist (ASan checks it), and
+  // because workers lease bells from a shelf and return them, repeated
+  // runs must not grow the process's open fds.
+  ASSERT_EQ(run_parked_pool_then_send(), Subsystem::RunOutcome::kStalled);
+  const int before = open_fd_count();
+  for (int i = 0; i < 200; ++i)
+    ASSERT_EQ(run_parked_pool_then_send(), Subsystem::RunOutcome::kStalled);
+  if (before < 0) GTEST_SKIP() << "no /proc/self/fd to count";
+  EXPECT_EQ(open_fd_count(), before);
 }
 
 TEST(SchedulerConfinement, ForeignThreadStepRaisesConsistency) {

@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Compare a fresh BENCH_*.json record with the committed one.
 
-    python3 tools/bench_compare.py NEW COMMITTED
+    python3 tools/bench_compare.py [--subset] NEW COMMITTED
 
-Exact counts gate: every `*_events` and `*_channel_msgs` key must be present
-in both records with the same value, because the simulated work of a bench is
+Exact counts gate: every `*_events` and `*_channel_msgs` key, and every
+`events_*` cell of a sweep record (BENCH_scaleout.json), must be present in
+both records with the same value, because the simulated work of a bench is
 deterministic and a changed count means the model or the protocol changed.
+With --subset, NEW may be a capped run that produces only some of the
+committed cells (bench_scaleout --max-n=100): a count key NEW lacks is
+skipped, not missing, but NEW must share at least one count with COMMITTED.
 Times do not gate: every `*_seconds` key is printed as NEW/COMMITTED with the
 direction that is better, for a reader to judge (shared CI runners are too
 noisy for a time threshold).
@@ -18,7 +22,12 @@ import json
 import sys
 
 COUNT_SUFFIXES = ("_events", "_channel_msgs")
+COUNT_PREFIXES = ("events_",)
 TIME_SUFFIX = "_seconds"
+
+
+def is_count(key):
+    return key.endswith(COUNT_SUFFIXES) or key.startswith(COUNT_PREFIXES)
 
 
 def load(path):
@@ -34,11 +43,13 @@ def load(path):
     return record
 
 
-def compare(new, committed):
+def compare(new, committed, subset=False):
     """Prints the comparison; returns the number of count mismatches."""
     mismatches = 0
-    for key in sorted(k for k in set(new) | set(committed)
-                      if k.endswith(COUNT_SUFFIXES)):
+    shared = 0
+    for key in sorted(k for k in set(new) | set(committed) if is_count(k)):
+        if subset and key not in new:
+            continue
         if key not in new or key not in committed:
             where = "new" if key not in new else "committed"
             print(f"FAIL {key}: missing from the {where} record")
@@ -48,6 +59,10 @@ def compare(new, committed):
             mismatches += 1
         else:
             print(f"ok   {key}: {new[key]}")
+            shared += 1
+    if subset and shared == 0:
+        print("FAIL no exact count in common with the committed record")
+        mismatches += 1
 
     for key in sorted(k for k in new if k.endswith(TIME_SUFFIX)):
         if key not in committed or not committed[key]:
@@ -60,10 +75,15 @@ def compare(new, committed):
 
 
 def main(argv):
-    if len(argv) != 3:
-        print("usage: bench_compare.py NEW COMMITTED", file=sys.stderr)
+    args = argv[1:]
+    subset = "--subset" in args
+    if subset:
+        args.remove("--subset")
+    if len(args) != 2:
+        print("usage: bench_compare.py [--subset] NEW COMMITTED",
+              file=sys.stderr)
         return 2
-    mismatches = compare(load(argv[1]), load(argv[2]))
+    mismatches = compare(load(args[0]), load(args[1]), subset)
     if mismatches:
         print(f"bench_compare: {mismatches} exact count(s) differ")
         return 1
