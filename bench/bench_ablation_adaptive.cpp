@@ -191,7 +191,7 @@ Outcome run_config(Config config) {
   outcome.rollbacks = a.stats().rollbacks + b.stats().rollbacks;
   outcome.stalls = a.stats().stalls + b.stats().stalls;
   outcome.flips =
-      a.adaptive_stats().mode_changes + b.adaptive_stats().mode_changes;
+      a.stats().mode_changes + b.stats().mode_changes;
   return outcome;
 }
 

@@ -34,13 +34,6 @@ std::uint32_t ComponentRegistry::generation(
   return it == entries_.end() ? 0 : it->second.generation;
 }
 
-std::vector<std::string> ComponentRegistry::type_names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
 ComponentRegistry& ComponentRegistry::global() {
   static ComponentRegistry registry;
   return registry;

@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/component.hpp"
 
@@ -38,8 +37,6 @@ class ComponentRegistry {
 
   /// How many times `type_name` has been (re)registered; 0 if never.
   [[nodiscard]] std::uint32_t generation(const std::string& type_name) const;
-
-  [[nodiscard]] std::vector<std::string> type_names() const;
 
   /// The process-wide registry used by the Chinook-style tools.
   static ComponentRegistry& global();

@@ -1,6 +1,5 @@
 #include "core/scheduler.hpp"
 
-#include <algorithm>
 #include <thread>
 
 #include "base/error.hpp"
@@ -329,12 +328,6 @@ void Scheduler::add_switchpoint(Switchpoint switchpoint) {
   for (const auto& action : switchpoint.actions)
     (void)component_id(action.component);
   switchpoints_.push_back(std::move(switchpoint));
-}
-
-std::size_t Scheduler::pending_switchpoints() const {
-  return static_cast<std::size_t>(
-      std::count_if(switchpoints_.begin(), switchpoints_.end(),
-                    [](const Switchpoint& s) { return !s.fired; }));
 }
 
 void Scheduler::set_runlevel(const std::string& component_name,

@@ -130,7 +130,6 @@ class Scheduler final : public ComponentContext {
   // --- runlevels ---------------------------------------------------------------
 
   void add_switchpoint(Switchpoint switchpoint);
-  [[nodiscard]] std::size_t pending_switchpoints() const;
   /// Direct user switch (the paper's "detail level slider").
   void set_runlevel(const std::string& component_name, const RunLevel& level);
   [[nodiscard]] LocalTimeView local_time_view() const;

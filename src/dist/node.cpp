@@ -216,87 +216,14 @@ void collect_metrics(Subsystem& subsystem, obs::MetricsRegistry& registry,
   PIA_CHECK(!registry.has_scope(sub_scope),
             "metric scope collision: '" + sub_scope +
                 "' already collected; disambiguate with an explicit tag");
+  // Every counter twice: flat under "sub/<tag>", and grouped by the layer
+  // that counts it under "engine/<tag>/<group>".
   const SubsystemStats& stats = subsystem.stats();
-  registry.set(sub_scope, "events_sent", stats.events_sent);
-  registry.set(sub_scope, "events_received", stats.events_received);
-  registry.set(sub_scope, "grants_sent", stats.grants_sent);
-  registry.set(sub_scope, "grants_received", stats.grants_received);
-  registry.set(sub_scope, "requests_sent", stats.requests_sent);
-  registry.set(sub_scope, "stalls", stats.stalls);
-  registry.set(sub_scope, "rollbacks", stats.rollbacks);
-  registry.set(sub_scope, "retracts_sent", stats.retracts_sent);
-  registry.set(sub_scope, "retracts_received", stats.retracts_received);
-  registry.set(sub_scope, "checkpoints", stats.checkpoints);
-  registry.set(sub_scope, "marks_received", stats.marks_received);
-  registry.set(sub_scope, "heartbeats_sent", stats.heartbeats_sent);
-  registry.set(sub_scope, "heartbeats_received", stats.heartbeats_received);
-  registry.set(sub_scope, "peer_down_events", stats.peer_down_events);
-  registry.set(sub_scope, "snapshots_persisted", stats.snapshots_persisted);
-  registry.set(sub_scope, "snapshot_persist_bytes",
-               stats.snapshot_persist_bytes);
-  registry.set(sub_scope, "snapshots_invalidated",
-               stats.snapshots_invalidated);
-  registry.set(sub_scope, "recoveries", stats.recoveries);
-  registry.set(sub_scope, "rejoins_verified", stats.rejoins_verified);
-
-  // The layered view: the same counters grouped by owning sync engine.
-  // Additive — the flat "sub/<name>" aggregate keys above are the stable
-  // interface and stay untouched.
-  const std::string engine_scope = "engine/" + scope_tag;
-  const TrafficStats& traffic = subsystem.traffic_stats();
-  registry.set(engine_scope + "/traffic", "events_sent", traffic.events_sent);
-  registry.set(engine_scope + "/traffic", "events_received",
-               traffic.events_received);
-  const sync::ConservativeStats& cons = subsystem.conservative_stats();
-  registry.set(engine_scope + "/conservative", "grants_sent",
-               cons.grants_sent);
-  registry.set(engine_scope + "/conservative", "grants_received",
-               cons.grants_received);
-  registry.set(engine_scope + "/conservative", "requests_sent",
-               cons.requests_sent);
-  registry.set(engine_scope + "/conservative", "stalls", cons.stalls);
-  const sync::OptimisticStats& opt = subsystem.optimistic_stats();
-  registry.set(engine_scope + "/optimistic", "rollbacks", opt.rollbacks);
-  registry.set(engine_scope + "/optimistic", "retracts_sent",
-               opt.retracts_sent);
-  registry.set(engine_scope + "/optimistic", "retracts_received",
-               opt.retracts_received);
-  registry.set(engine_scope + "/optimistic", "checkpoints", opt.checkpoints);
-  const sync::SnapshotStats& snap = subsystem.snapshot_stats();
-  registry.set(engine_scope + "/snapshot", "marks_received",
-               snap.marks_received);
-  registry.set(engine_scope + "/snapshot", "snapshots_persisted",
-               snap.snapshots_persisted);
-  registry.set(engine_scope + "/snapshot", "snapshot_persist_bytes",
-               snap.snapshot_persist_bytes);
-  registry.set(engine_scope + "/snapshot", "snapshots_invalidated",
-               snap.snapshots_invalidated);
-  const sync::RecoveryStats& rec = subsystem.recovery_stats();
-  registry.set(engine_scope + "/recovery", "heartbeats_sent",
-               rec.heartbeats_sent);
-  registry.set(engine_scope + "/recovery", "heartbeats_received",
-               rec.heartbeats_received);
-  registry.set(engine_scope + "/recovery", "peer_down_events",
-               rec.peer_down_events);
-  registry.set(engine_scope + "/recovery", "recoveries", rec.recoveries);
-  registry.set(engine_scope + "/recovery", "rejoins_verified",
-               rec.rejoins_verified);
-  const sync::AdaptiveStats& adapt = subsystem.adaptive_stats();
-  registry.set(engine_scope + "/adaptive", "proposals_sent",
-               adapt.proposals_sent);
-  registry.set(engine_scope + "/adaptive", "proposals_received",
-               adapt.proposals_received);
-  registry.set(engine_scope + "/adaptive", "proposals_accepted",
-               adapt.proposals_accepted);
-  registry.set(engine_scope + "/adaptive", "proposals_rejected",
-               adapt.proposals_rejected);
-  registry.set(engine_scope + "/adaptive", "mode_changes",
-               adapt.mode_changes);
-  registry.set(engine_scope + "/adaptive", "to_optimistic",
-               adapt.to_optimistic);
-  registry.set(engine_scope + "/adaptive", "to_conservative",
-               adapt.to_conservative);
-  registry.set(engine_scope + "/adaptive", "hold_slices", adapt.hold_slices);
+  for (const SubsystemCounter& row : kSubsystemCounters) {
+    registry.set(sub_scope, row.name, stats.*row.field);
+    registry.set("engine/" + scope_tag + "/" + row.group, row.name,
+                 stats.*row.field);
+  }
   if (const SnapshotStore* store = subsystem.snapshot_store()) {
     registry.set(sub_scope, "store_commits", store->stats().commits);
     registry.set(sub_scope, "store_bytes_written",

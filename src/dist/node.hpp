@@ -103,11 +103,13 @@ void split_net(Subsystem& a, ChannelId chan_a, NetId net_a, Subsystem& b,
                ChannelId chan_b, NetId net_b);
 
 /// Collects a subsystem's counters into `registry`: SubsystemStats and
-/// scheduler totals under "sub/<tag>", per-component dispatch counts under
-/// "dispatch/<tag>", and every channel endpoint's protocol + link counters
-/// under "chan/<tag>/<index>:<channel>".  `tag` defaults to the subsystem
-/// name; pass an explicit tag when several collected subsystems share one
-/// (a scenario generator stamping out N identically-named subsystems).
+/// scheduler totals under "sub/<tag>", SubsystemStats again grouped by
+/// counting layer under "engine/<tag>/<group>", per-component dispatch
+/// counts under "dispatch/<tag>", and every channel endpoint's protocol +
+/// link counters under "chan/<tag>/<index>:<channel>".  `tag` defaults to
+/// the subsystem name; pass an explicit tag when several collected
+/// subsystems share one (a scenario generator stamping out N
+/// identically-named subsystems).
 /// Throws Error{kConsistency} if "sub/<tag>" is already populated — silent
 /// metric merging across subsystems hides real counters.
 void collect_metrics(Subsystem& subsystem, obs::MetricsRegistry& registry,

@@ -286,30 +286,6 @@ std::optional<std::pair<ReplicaFrameHeader, BytesView>> split_replica_frame(
   return std::make_pair(header, ar.get_view(ar.remaining()));
 }
 
-const char* message_name(const ChannelMessage& message) {
-  return std::visit(
-      [](const auto& m) -> const char* {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, EventMsg>) return "event";
-        else if constexpr (std::is_same_v<T, SafeTimeRequest>) return "safe_time_request";
-        else if constexpr (std::is_same_v<T, SafeTimeGrant>) return "safe_time_grant";
-        else if constexpr (std::is_same_v<T, MarkMsg>) return "mark";
-        else if constexpr (std::is_same_v<T, RetractMsg>) return "retract";
-        else if constexpr (std::is_same_v<T, RunLevelMsg>) return "runlevel";
-        else if constexpr (std::is_same_v<T, ProbeMsg>) return "probe";
-        else if constexpr (std::is_same_v<T, ProbeReply>) return "probe_reply";
-        else if constexpr (std::is_same_v<T, TerminateMsg>) return "terminate";
-        else if constexpr (std::is_same_v<T, HeartbeatMsg>) return "heartbeat";
-        else if constexpr (std::is_same_v<T, RejoinMsg>) return "rejoin";
-        else if constexpr (std::is_same_v<T, ModeProposalMsg>) return "mode_proposal";
-        else if constexpr (std::is_same_v<T, ModeAckMsg>) return "mode_ack";
-        else if constexpr (std::is_same_v<T, ModeCommitMsg>) return "mode_commit";
-        else if constexpr (std::is_same_v<T, ModeResumeMsg>) return "mode_resume";
-        else return "status";
-      },
-      message);
-}
-
 bool is_control_message(const ChannelMessage& message) {
   return std::holds_alternative<StatusMsg>(message) ||
          std::holds_alternative<ProbeMsg>(message) ||

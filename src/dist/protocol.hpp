@@ -261,8 +261,6 @@ void encode_replica_frame(serial::OutArchive& out, std::uint32_t member,
 [[nodiscard]] std::optional<std::pair<ReplicaFrameHeader, BytesView>>
 split_replica_frame(BytesView frame);
 
-[[nodiscard]] const char* message_name(const ChannelMessage& message);
-
 /// Control messages are protocol plumbing (status, probes, termination,
 /// heartbeats, rejoin handshakes): they are excluded from the msgs_sent /
 /// msgs_received counters that ground quiescence detection, so adding a

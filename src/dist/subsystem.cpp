@@ -13,54 +13,6 @@ Subsystem::Subsystem(std::string name, std::uint32_t numeric_id)
       scheduler_(name_),
       checkpoints_(scheduler_, CheckpointPolicy::kImmediate) {}
 
-// The protocol-cost block of the aggregate goes through cost_sample(), the
-// same accessor the AdaptiveController decides on — the number the
-// controller acted on is always the number metrics export.
-sync::ChannelCostSample Subsystem::cost_sample() const {
-  const sync::ConservativeStats& cons = conservative_.stats();
-  const sync::OptimisticStats& opt = optimistic_.stats();
-  const sync::SnapshotStats& snap = snapshot_.stats();
-  sync::ChannelCostSample s;
-  s.grants_sent = cons.grants_sent;
-  s.grants_received = cons.grants_received;
-  s.requests_sent = cons.requests_sent;
-  s.stalls = cons.stalls;
-  s.rollbacks = opt.rollbacks;
-  s.retracts_sent = opt.retracts_sent;
-  s.retracts_received = opt.retracts_received;
-  s.checkpoints = opt.checkpoints;
-  s.snapshots_invalidated = snap.snapshots_invalidated;
-  return s;
-}
-
-SubsystemStats Subsystem::stats() const {
-  const sync::ChannelCostSample cost = cost_sample();
-  const sync::SnapshotStats& snap = snapshot_.stats();
-  const sync::RecoveryStats& rec = recovery_.stats();
-  SubsystemStats s;
-  s.events_sent = traffic_.events_sent;
-  s.events_received = traffic_.events_received;
-  s.grants_sent = cost.grants_sent;
-  s.grants_received = cost.grants_received;
-  s.requests_sent = cost.requests_sent;
-  s.stalls = cost.stalls;
-  s.rollbacks = cost.rollbacks;
-  s.retracts_sent = cost.retracts_sent;
-  s.retracts_received = cost.retracts_received;
-  s.checkpoints = cost.checkpoints;
-  s.marks_received = snap.marks_received;
-  s.mode_changes = adaptive_.stats().mode_changes;
-  s.heartbeats_sent = rec.heartbeats_sent;
-  s.heartbeats_received = rec.heartbeats_received;
-  s.peer_down_events = rec.peer_down_events;
-  s.snapshots_persisted = snap.snapshots_persisted;
-  s.snapshot_persist_bytes = snap.snapshot_persist_bytes;
-  s.snapshots_invalidated = cost.snapshots_invalidated;
-  s.recoveries = rec.recoveries;
-  s.rejoins_verified = rec.rejoins_verified;
-  return s;
-}
-
 bool Subsystem::mode_change_allowed() const {
   // A flip must not race retirement (frozen floor), replica membership
   // (siblings must stay protocol-identical), or a rejoin handshake whose
@@ -233,7 +185,7 @@ void Subsystem::handle_message(ChannelId channel_id, ChannelMessage message) {
 
 void Subsystem::handle_event(ChannelId channel_id, EventMsg event) {
   ChannelEndpoint& endpoint = channel(channel_id);
-  traffic_.events_received++;
+  sync::EngineContext::stats().events_received++;
   ++endpoint.event_msgs_received;
   conservative_.note_activity();
   PIA_OBS_TRACE(scheduler_.trace(), obs::TraceKind::kChannelRecv, event.time,
@@ -277,7 +229,7 @@ void Subsystem::send_or_suppress(ChannelEndpoint& endpoint,
   endpoint.replay_cursor = endpoint.output_log.size();
   if (burst_.open && endpoint.mode() == ChannelMode::kConservative)
     burst_.barrier = min(burst_.barrier, endpoint.effective_grant());
-  traffic_.events_sent++;
+  sync::EngineContext::stats().events_sent++;
   PIA_OBS_TRACE(scheduler_.trace(), obs::TraceKind::kChannelSend, time,
                 endpoint.index, net_index);
 }

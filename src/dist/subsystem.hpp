@@ -4,8 +4,7 @@
 // A Pia node contains one or more subsystems; each subsystem owns a
 // Scheduler (the local timing kernel), a CheckpointManager, and a set of
 // channels to peer subsystems.  The distributed time rules themselves live
-// in four layered engines under dist/sync/, each owning one protocol's
-// state and statistics:
+// in five layered engines under dist/sync/, each owning one protocol's state:
 //
 //   * sync::ConservativeEngine (§2.2.3): safe-time grants with
 //     self-restriction removal, unsolicited grant pushes (null messages),
@@ -29,9 +28,8 @@
 // The facade owns the run loop, the channel message dispatch, and the
 // outbound send path; engines reach shared infrastructure and each other's
 // services only through sync::EngineContext, which Subsystem implements
-// privately.  Aggregate SubsystemStats are assembled from the per-engine
-// statistics on demand, so existing consumers (metrics export, tests) see
-// the same totals as before the split.
+// privately.  The facade and the engines count into one SubsystemStats
+// block held by that context; stats() hands it out read-only.
 #pragma once
 
 #include <atomic>
@@ -57,40 +55,6 @@
 
 namespace pia::dist {
 
-/// The facade's own slice of the statistics: raw event traffic, counted on
-/// the send/receive paths the facade owns.
-struct TrafficStats {
-  std::uint64_t events_sent = 0;      // EventMsgs to peers
-  std::uint64_t events_received = 0;  // EventMsgs from peers
-};
-
-/// Aggregate view over the facade and all four engines.  Field-compatible
-/// with the pre-split Subsystem statistics; assembled by value in
-/// Subsystem::stats().
-struct SubsystemStats {
-  std::uint64_t events_sent = 0;        // EventMsgs to peers
-  std::uint64_t events_received = 0;    // EventMsgs from peers
-  std::uint64_t grants_sent = 0;
-  std::uint64_t grants_received = 0;
-  std::uint64_t requests_sent = 0;
-  std::uint64_t stalls = 0;             // loop iterations blocked on a grant
-  std::uint64_t rollbacks = 0;
-  std::uint64_t retracts_sent = 0;
-  std::uint64_t retracts_received = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t marks_received = 0;
-  std::uint64_t mode_changes = 0;       // adaptive-sync flips applied locally
-  // Crash-recovery layer.
-  std::uint64_t heartbeats_sent = 0;
-  std::uint64_t heartbeats_received = 0;
-  std::uint64_t peer_down_events = 0;    // channels declared dead
-  std::uint64_t snapshots_persisted = 0; // completed CL snapshots written out
-  std::uint64_t snapshot_persist_bytes = 0;
-  std::uint64_t snapshots_invalidated = 0;  // durable cuts revoked by rollback
-  std::uint64_t recoveries = 0;          // restores from a durable image
-  std::uint64_t rejoins_verified = 0;    // rejoin handshakes cross-checked
-};
-
 class Subsystem : private sync::EngineContext {
  public:
   Subsystem(std::string name, std::uint32_t numeric_id);
@@ -108,26 +72,10 @@ class Subsystem : private sync::EngineContext {
     return checkpoints_;
   }
 
-  /// Aggregate statistics, assembled from the per-engine counters.  The
-  /// totals match the pre-split flat counters field for field.
-  [[nodiscard]] SubsystemStats stats() const;
-
-  // Per-engine statistics, for consumers that want the layered view.
-  [[nodiscard]] const TrafficStats& traffic_stats() const { return traffic_; }
-  [[nodiscard]] const sync::ConservativeStats& conservative_stats() const {
-    return conservative_.stats();
-  }
-  [[nodiscard]] const sync::OptimisticStats& optimistic_stats() const {
-    return optimistic_.stats();
-  }
-  [[nodiscard]] const sync::SnapshotStats& snapshot_stats() const {
-    return snapshot_.stats();
-  }
-  [[nodiscard]] const sync::RecoveryStats& recovery_stats() const {
-    return recovery_.stats();
-  }
-  [[nodiscard]] const sync::AdaptiveStats& adaptive_stats() const {
-    return adaptive_.stats();
+  /// The subsystem's protocol counters, as the facade and the sync engines
+  /// count them.
+  [[nodiscard]] const SubsystemStats& stats() const {
+    return sync::EngineContext::stats();
   }
 
   // --- channel setup ---------------------------------------------------------
@@ -474,7 +422,6 @@ class Subsystem : private sync::EngineContext {
       std::uint64_t token) const override {
     return recovery_.export_image(token);
   }
-  [[nodiscard]] sync::ChannelCostSample cost_sample() const override;
   [[nodiscard]] bool mode_negotiation_hold() const override {
     return adaptive_.hold();
   }
@@ -489,7 +436,6 @@ class Subsystem : private sync::EngineContext {
   std::atomic<bool> retired_{false};
   bool started_ = false;
   std::uint32_t channel_batch_limit_ = 64;
-  TrafficStats traffic_;
   Burst burst_;
 
   // Engines are constructed against *this as their EngineContext; they only

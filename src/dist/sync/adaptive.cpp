@@ -43,7 +43,7 @@ bool AdaptiveController::flip_safe(std::size_t channel,
 
 void AdaptiveController::tick() {
   if (holding_) {
-    stats_.hold_slices++;
+    ctx_.stats().hold_slices++;
     return;
   }
   if (state_ != State::kIdle) return;
@@ -73,10 +73,10 @@ void AdaptiveController::tick() {
 }
 
 void AdaptiveController::sample_windows() {
-  const ChannelCostSample sample = ctx_.cost_sample();
+  const std::uint64_t stalls = ctx_.stats().stalls;
   const std::uint64_t stalls_delta =
-      sample.stalls >= prev_stalls_ ? sample.stalls - prev_stalls_ : 0;
-  prev_stalls_ = sample.stalls;
+      stalls >= prev_stalls_ ? stalls - prev_stalls_ : 0;
+  prev_stalls_ = stalls;
   ChannelSet& channels = ctx_.channels();
   std::optional<std::size_t> candidate;
   ChannelMode candidate_target = ChannelMode::kConservative;
@@ -149,7 +149,7 @@ void AdaptiveController::propose(std::size_t channel, ChannelMode target) {
   active_ = channel;
   state_ = State::kProposed;
   holding_ = true;
-  stats_.proposals_sent++;
+  ctx_.stats().proposals_sent++;
   PIA_TRACE("[" << ctx_.subsystem_name() << "] mode propose channel="
                 << c.name() << " target="
                 << (target == ChannelMode::kOptimistic ? "optimistic"
@@ -165,11 +165,11 @@ void AdaptiveController::on_proposal(ChannelId channel_id,
                                      const ModeProposalMsg& m) {
   ensure_watch();
   ChannelEndpoint& c = ctx_.channels().at(channel_id);
-  stats_.proposals_received++;
+  ctx_.stats().proposals_received++;
   const auto target = static_cast<ChannelMode>(m.target);
   const auto proposer = static_cast<std::uint32_t>(m.nonce >> 32);
   const auto reject = [&](std::uint8_t reason) {
-    stats_.proposals_rejected++;
+    ctx_.stats().proposals_rejected++;
     c.send_message(ModeAckMsg{
         .nonce = m.nonce, .phase = 0, .accept = false, .reason = reason});
   };
@@ -206,7 +206,7 @@ void AdaptiveController::on_proposal(ChannelId channel_id,
       return;
     }
   }
-  stats_.proposals_accepted++;
+  ctx_.stats().proposals_accepted++;
   state_ = State::kAccepted;
   holding_ = true;
   active_ = channel_id.value();
@@ -298,11 +298,11 @@ void AdaptiveController::apply_flip(ChannelEndpoint& c, ChannelMode target) {
   // floor): both sides flip, so both restart from "push everything".
   c.peer_need = VirtualTime::zero();
   ctx_.note_activity();
-  stats_.mode_changes++;
+  ctx_.stats().mode_changes++;
   if (target == ChannelMode::kOptimistic)
-    stats_.to_optimistic++;
+    ctx_.stats().to_optimistic++;
   else
-    stats_.to_conservative++;
+    ctx_.stats().to_conservative++;
   PIA_TRACE("[" << ctx_.subsystem_name() << "] mode flip channel=" << c.name()
                 << " -> "
                 << (target == ChannelMode::kOptimistic ? "optimistic"
@@ -349,7 +349,7 @@ void AdaptiveController::reset() {
     w.lean_optimistic = 0;
     w.cooldown = 0;
   }
-  prev_stalls_ = ctx_.cost_sample().stalls;
+  prev_stalls_ = ctx_.stats().stalls;
 }
 
 void AdaptiveController::ensure_watch() {

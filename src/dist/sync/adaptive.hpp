@@ -62,22 +62,9 @@ struct AdaptivePolicy {
   std::uint32_t cooldown_windows = 4;
 };
 
-struct AdaptiveStats {
-  std::uint64_t proposals_sent = 0;
-  std::uint64_t proposals_received = 0;
-  std::uint64_t proposals_accepted = 0;  // local accept decisions
-  std::uint64_t proposals_rejected = 0;  // local reject decisions
-  std::uint64_t mode_changes = 0;        // flips applied to a local endpoint
-  std::uint64_t to_optimistic = 0;
-  std::uint64_t to_conservative = 0;
-  std::uint64_t hold_slices = 0;  // run-loop slices spent under negotiation
-};
-
 class AdaptiveController {
  public:
   explicit AdaptiveController(EngineContext& ctx) : ctx_(ctx) {}
-
-  [[nodiscard]] const AdaptiveStats& stats() const { return stats_; }
 
   /// Turns measurement-driven renegotiation on.  Off (the default) the
   /// controller never proposes, but still answers peers' proposals —
@@ -153,7 +140,6 @@ class AdaptiveController {
 
   EngineContext& ctx_;
   AdaptivePolicy policy_{};
-  AdaptiveStats stats_{};
   bool enabled_ = false;
 
   State state_ = State::kIdle;

@@ -24,7 +24,7 @@ void ConservativeEngine::on_grant(ChannelId channel_id,
   endpoint.granted_in_lookahead = grant.lookahead;
   endpoint.note_peer_need(grant.need_by, grant.events_seen);
   endpoint.request_outstanding = false;
-  stats_.grants_received++;
+  ctx_.stats().grants_received++;
   PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kGrant,
                 grant.safe_time, endpoint.index, grant.events_seen);
 }
@@ -39,7 +39,7 @@ void ConservativeEngine::send_grant(ChannelEndpoint& c,
                                .events_seen = c.granted_out_seen,
                                .lookahead = c.reaction_lookahead,
                                .need_by = need_on(c)});
-  stats_.grants_sent++;
+  ctx_.stats().grants_sent++;
 }
 
 VirtualTime ConservativeEngine::need_on(const ChannelEndpoint& c) const {
@@ -244,10 +244,10 @@ void ConservativeEngine::push_status_if_changed() {
 }
 
 void ConservativeEngine::on_blocked() {
-  stats_.stalls++;
+  ctx_.stats().stalls++;
   const VirtualTime next = ctx_.scheduler().next_event_time();
   PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kStall, next,
-                stats_.stalls);
+                ctx_.stats().stalls);
   for (auto& cp : ctx_.channels()) {
     ChannelEndpoint& c = *cp;
     if (c.mode() != ChannelMode::kConservative) continue;
@@ -265,7 +265,7 @@ void ConservativeEngine::on_blocked() {
                                    .need_by = need_on(c),
                                    .events_seen = c.event_msgs_received});
     c.request_outstanding = true;
-    stats_.requests_sent++;
+    ctx_.stats().requests_sent++;
     PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kGrantRequest,
                   next, c.index);
   }

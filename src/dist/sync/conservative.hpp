@@ -19,18 +19,9 @@
 
 namespace pia::dist::sync {
 
-struct ConservativeStats {
-  std::uint64_t grants_sent = 0;
-  std::uint64_t grants_received = 0;
-  std::uint64_t requests_sent = 0;
-  std::uint64_t stalls = 0;  // loop iterations blocked on a grant
-};
-
 class ConservativeEngine {
  public:
   explicit ConservativeEngine(EngineContext& ctx) : ctx_(ctx) {}
-
-  [[nodiscard]] const ConservativeStats& stats() const { return stats_; }
 
   // --- message handlers ----------------------------------------------------
   void on_request(ChannelId channel_id, const SafeTimeRequest& request);
@@ -156,7 +147,6 @@ class ConservativeEngine {
   [[nodiscard]] std::uint32_t crossing_channel(const Event& e) const;
 
   EngineContext& ctx_;
-  ConservativeStats stats_;
   /// Channel index per proxy ComponentId value (kNoChannel elsewhere), and
   /// each channel's proxy rx port; see index_channels().
   std::vector<std::uint32_t> proxy_channel_;

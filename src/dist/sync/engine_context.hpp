@@ -1,16 +1,18 @@
-// EngineContext: the narrow seam between the Subsystem facade and the four
-// sync engines (conservative, optimistic, snapshot, recovery).
+// EngineContext: the narrow seam between the Subsystem facade and the five
+// sync engines (conservative, optimistic, snapshot, recovery, adaptive).
 //
-// Each engine owns one protocol's state and stats and sees the rest of the
-// subsystem only through this interface: the shared infrastructure
-// (scheduler, checkpoint manager, channel set) plus a handful of
-// cross-engine services.  Every service is implemented by exactly one
-// engine and forwarded by the facade, so engines never include — or even
-// name — each other; the layering lint (tools/lint_layers.py) enforces
-// that structurally.  A test can implement EngineContext with a stub and
-// drive an engine without sockets, threads, or the other protocols.
+// Each engine owns one protocol's state and sees the rest of the subsystem
+// only through this interface: the shared infrastructure (scheduler,
+// checkpoint manager, channel set), the subsystem's one counter block
+// (SubsystemStats), and a handful of cross-engine services.  Every service
+// is implemented by exactly one engine and forwarded by the facade, so
+// engines never include — or even name — each other; the layering lint
+// (tools/lint_layers.py) enforces that structurally.  A test can implement
+// EngineContext with a stub and drive an engine without sockets, threads,
+// or the other protocols.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,6 +21,106 @@
 #include "core/scheduler.hpp"
 #include "dist/channel_set.hpp"
 #include "dist/protocol.hpp"
+
+namespace pia::dist {
+
+/// A subsystem's protocol counters: the one block the facade and every
+/// sync engine count into, each field incremented in place by the layer
+/// that owns it.  Every consumer (metrics export, the AdaptiveController,
+/// scale-out totals, tests, benches) reads this block, so the number a
+/// decision acted on is the number the operator sees.
+struct SubsystemStats {
+  // Facade: raw event traffic on the send/receive paths.
+  std::uint64_t events_sent = 0;      // EventMsgs to peers
+  std::uint64_t events_received = 0;  // EventMsgs from peers
+  // ConservativeEngine.
+  std::uint64_t grants_sent = 0;
+  std::uint64_t grants_received = 0;
+  std::uint64_t requests_sent = 0;
+  std::uint64_t stalls = 0;  // loop iterations blocked on a grant
+  // OptimisticEngine.
+  std::uint64_t rollbacks = 0;
+  std::uint64_t retracts_sent = 0;
+  std::uint64_t retracts_received = 0;
+  std::uint64_t checkpoints = 0;
+  // SnapshotCoordinator.
+  std::uint64_t marks_received = 0;
+  std::uint64_t snapshots_persisted = 0;  // completed CL cuts written out
+  std::uint64_t snapshot_persist_bytes = 0;
+  std::uint64_t snapshots_invalidated = 0;  // durable cuts revoked by rollback
+  // RecoveryCoordinator.
+  std::uint64_t heartbeats_sent = 0;
+  std::uint64_t heartbeats_received = 0;
+  std::uint64_t peer_down_events = 0;  // channels declared dead
+  std::uint64_t recoveries = 0;        // restores from a durable image
+  std::uint64_t rejoins_verified = 0;  // rejoin handshakes cross-checked
+  // AdaptiveController.
+  std::uint64_t proposals_sent = 0;
+  std::uint64_t proposals_received = 0;
+  std::uint64_t proposals_accepted = 0;  // local accept decisions
+  std::uint64_t proposals_rejected = 0;  // local reject decisions
+  std::uint64_t mode_changes = 0;        // flips applied to a local endpoint
+  std::uint64_t to_optimistic = 0;
+  std::uint64_t to_conservative = 0;
+  std::uint64_t hold_slices = 0;  // run-loop slices spent under negotiation
+};
+
+/// One row per SubsystemStats field: the layer that counts it (the
+/// "engine/<name>/<group>" metrics scope) and its exported name.  Metrics
+/// export and every cross-subsystem sum walk this table, so a new field
+/// needs one row here and nothing else.
+struct SubsystemCounter {
+  const char* group;
+  const char* name;
+  std::uint64_t SubsystemStats::*field;
+};
+
+inline constexpr std::array<SubsystemCounter, 27> kSubsystemCounters{{
+    {"traffic", "events_sent", &SubsystemStats::events_sent},
+    {"traffic", "events_received", &SubsystemStats::events_received},
+    {"conservative", "grants_sent", &SubsystemStats::grants_sent},
+    {"conservative", "grants_received", &SubsystemStats::grants_received},
+    {"conservative", "requests_sent", &SubsystemStats::requests_sent},
+    {"conservative", "stalls", &SubsystemStats::stalls},
+    {"optimistic", "rollbacks", &SubsystemStats::rollbacks},
+    {"optimistic", "retracts_sent", &SubsystemStats::retracts_sent},
+    {"optimistic", "retracts_received", &SubsystemStats::retracts_received},
+    {"optimistic", "checkpoints", &SubsystemStats::checkpoints},
+    {"snapshot", "marks_received", &SubsystemStats::marks_received},
+    {"snapshot", "snapshots_persisted", &SubsystemStats::snapshots_persisted},
+    {"snapshot", "snapshot_persist_bytes",
+     &SubsystemStats::snapshot_persist_bytes},
+    {"snapshot", "snapshots_invalidated",
+     &SubsystemStats::snapshots_invalidated},
+    {"recovery", "heartbeats_sent", &SubsystemStats::heartbeats_sent},
+    {"recovery", "heartbeats_received", &SubsystemStats::heartbeats_received},
+    {"recovery", "peer_down_events", &SubsystemStats::peer_down_events},
+    {"recovery", "recoveries", &SubsystemStats::recoveries},
+    {"recovery", "rejoins_verified", &SubsystemStats::rejoins_verified},
+    {"adaptive", "proposals_sent", &SubsystemStats::proposals_sent},
+    {"adaptive", "proposals_received", &SubsystemStats::proposals_received},
+    {"adaptive", "proposals_accepted", &SubsystemStats::proposals_accepted},
+    {"adaptive", "proposals_rejected", &SubsystemStats::proposals_rejected},
+    {"adaptive", "mode_changes", &SubsystemStats::mode_changes},
+    {"adaptive", "to_optimistic", &SubsystemStats::to_optimistic},
+    {"adaptive", "to_conservative", &SubsystemStats::to_conservative},
+    {"adaptive", "hold_slices", &SubsystemStats::hold_slices},
+}};
+// One row per field: as many rows as fields, and no field named twice.
+static_assert(sizeof(SubsystemStats) ==
+                  kSubsystemCounters.size() * sizeof(std::uint64_t),
+              "every SubsystemStats field needs a kSubsystemCounters row");
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kSubsystemCounters.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+          if (kSubsystemCounters[i].field == kSubsystemCounters[j].field)
+            return false;
+      return true;
+    }(),
+    "a SubsystemStats field has two kSubsystemCounters rows");
+
+}  // namespace pia::dist
 
 namespace pia::dist::sync {
 
@@ -50,27 +152,14 @@ struct PendingSnapshot {
   bool persisted = false;  // committed to the attached SnapshotStore
 };
 
-/// One channel's protocol-cost counters, assembled from the per-engine
-/// stats blocks by the facade.  The AdaptiveController's decisions and
-/// NodeCluster::metrics() both read THIS accessor, so the number the
-/// controller acted on is always the number the operator sees.
-struct ChannelCostSample {
-  // Conservative-side cost (null-message / grant traffic and blocking).
-  std::uint64_t grants_sent = 0;
-  std::uint64_t grants_received = 0;
-  std::uint64_t requests_sent = 0;
-  std::uint64_t stalls = 0;
-  // Optimistic-side cost (rollback + anti-message volume).
-  std::uint64_t rollbacks = 0;
-  std::uint64_t retracts_sent = 0;
-  std::uint64_t retracts_received = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t snapshots_invalidated = 0;
-};
-
 class EngineContext {
  public:
   virtual ~EngineContext() = default;
+
+  /// The subsystem's counter block.  Engines increment its fields in
+  /// place; the accessor is not virtual, so counting stays a plain add.
+  [[nodiscard]] SubsystemStats& stats() { return stats_; }
+  [[nodiscard]] const SubsystemStats& stats() const { return stats_; }
 
   // --- shared infrastructure ---------------------------------------------
   [[nodiscard]] virtual Scheduler& scheduler() = 0;
@@ -129,9 +218,6 @@ class EngineContext {
       std::uint64_t token) const = 0;
 
   // --- services of the AdaptiveController ----------------------------------
-  /// Subsystem-wide protocol cost counters (summed over channels); the
-  /// controller windows successive samples to estimate per-mode overhead.
-  [[nodiscard]] virtual ChannelCostSample cost_sample() const = 0;
   /// True while a mode negotiation holds dispatch on this subsystem: the
   /// run loop must not dispatch events, and the conservative engine must
   /// neither originate termination probes nor answer them ok — both paths
@@ -145,6 +231,9 @@ class EngineContext {
   /// Starts a Chandy–Lamport cut and returns its token (the mode-flip
   /// barrier).  Forwarded to SnapshotCoordinator::initiate().
   virtual std::uint64_t initiate_snapshot() = 0;
+
+ private:
+  SubsystemStats stats_;
 };
 
 }  // namespace pia::dist::sync

@@ -26,10 +26,10 @@ SnapshotId OptimisticEngine::take_checkpoint() {
     positions.cursor.push_back(c->replay_cursor);
   }
   snapshot_positions_[snap] = std::move(positions);
-  stats_.checkpoints++;
+  ctx_.stats().checkpoints++;
   dispatches_since_checkpoint_ = 0;
   PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kCheckpoint,
-                ctx_.scheduler().now(), stats_.checkpoints);
+                ctx_.scheduler().now(), ctx_.stats().checkpoints);
   return snap;
 }
 
@@ -62,7 +62,7 @@ void OptimisticEngine::inject_input(ChannelEndpoint& endpoint,
 void OptimisticEngine::on_retract(ChannelId channel_id,
                                   const RetractMsg& retract) {
   ChannelEndpoint& endpoint = ctx_.channels().at(channel_id);
-  stats_.retracts_received++;
+  ctx_.stats().retracts_received++;
   endpoint.retract_msgs_received++;
   ctx_.note_activity();
 
@@ -149,10 +149,10 @@ void OptimisticEngine::rollback(
   const SnapshotPositions positions = snapshot_positions_.at(*chosen);
   checkpoints.restore(*chosen);
   scrub_retracted(positions);
-  stats_.rollbacks++;
+  ctx_.stats().rollbacks++;
   dispatches_since_checkpoint_ = 0;
   PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kRollback, to_time,
-                stats_.rollbacks);
+                ctx_.stats().rollbacks);
 
   // Forget snapshots describing the discarded future.
   drop_positions_after(*chosen);
@@ -180,7 +180,7 @@ void OptimisticEngine::retract_output(ChannelEndpoint& endpoint,
   if (record.retracted) return;
   record.retracted = true;
   endpoint.send_message(RetractMsg{.id = record.id, .time = record.time});
-  stats_.retracts_sent++;
+  ctx_.stats().retracts_sent++;
   endpoint.retract_msgs_sent++;
 }
 

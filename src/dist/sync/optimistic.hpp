@@ -16,18 +16,9 @@
 
 namespace pia::dist::sync {
 
-struct OptimisticStats {
-  std::uint64_t rollbacks = 0;
-  std::uint64_t retracts_sent = 0;
-  std::uint64_t retracts_received = 0;
-  std::uint64_t checkpoints = 0;
-};
-
 class OptimisticEngine {
  public:
   explicit OptimisticEngine(EngineContext& ctx) : ctx_(ctx) {}
-
-  [[nodiscard]] const OptimisticStats& stats() const { return stats_; }
 
   void set_checkpoint_interval(std::uint64_t dispatches) {
     checkpoint_interval_ = dispatches;
@@ -99,7 +90,6 @@ class OptimisticEngine {
   void flush_tail(ChannelEndpoint& c, VirtualTime upto);
 
   EngineContext& ctx_;
-  OptimisticStats stats_;
   std::uint64_t checkpoint_interval_ = 64;
   std::uint64_t dispatches_since_checkpoint_ = 0;
   std::map<SnapshotId, SnapshotPositions> snapshot_positions_;

@@ -28,7 +28,7 @@ void RecoveryCoordinator::service_beacons() {
       // heartbeat false positive under load.
       c.flush();
       c.last_heartbeat_sent = now;
-      stats_.heartbeats_sent++;
+      ctx_.stats().heartbeats_sent++;
       PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kHeartbeat,
                     ctx_.scheduler().now(), c.index, c.heartbeat_seq);
     }
@@ -53,7 +53,7 @@ bool RecoveryCoordinator::judge_liveness() {
     if (!c.peer_down && heartbeat_timeout_.count() > 0 &&
         now - c.last_arrival > heartbeat_timeout_) {
       c.peer_down = true;
-      stats_.peer_down_events++;
+      ctx_.stats().peer_down_events++;
       PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kPeerDown,
                     ctx_.scheduler().now(), c.index);
     }
@@ -66,7 +66,7 @@ void RecoveryCoordinator::on_heartbeat(ChannelId channel_id,
                                        const HeartbeatMsg& /*heartbeat*/) {
   // Liveness content is the arrival itself; poll() already stamped
   // last_arrival.
-  stats_.heartbeats_received++;
+  ctx_.stats().heartbeats_received++;
   ctx_.channels().at(channel_id).heartbeats_received++;
 }
 
@@ -309,7 +309,7 @@ void RecoveryCoordinator::restore_image(BytesView image) {
   // The restored cut becomes the rollback target of last resort.
   ctx_.take_checkpoint();
 
-  stats_.recoveries++;
+  ctx_.stats().recoveries++;
   PIA_OBS_TRACE(scheduler.trace(), obs::TraceKind::kRecover,
                 scheduler.now(), token);
 }
@@ -361,7 +361,7 @@ void RecoveryCoordinator::on_rejoin(ChannelId channel_id,
               ", local received " + std::to_string(c.rejoin_received) +
               "/sent " + std::to_string(c.rejoin_sent));
   c.rejoin_verified = true;
-  stats_.rejoins_verified++;
+  ctx_.stats().rejoins_verified++;
 }
 
 void RecoveryCoordinator::replace_link(ChannelId channel_id,

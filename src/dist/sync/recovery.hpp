@@ -14,19 +14,9 @@
 
 namespace pia::dist::sync {
 
-struct RecoveryStats {
-  std::uint64_t heartbeats_sent = 0;
-  std::uint64_t heartbeats_received = 0;
-  std::uint64_t peer_down_events = 0;  // channels declared dead
-  std::uint64_t recoveries = 0;        // restores from a durable image
-  std::uint64_t rejoins_verified = 0;  // rejoin handshakes cross-checked
-};
-
 class RecoveryCoordinator {
  public:
   explicit RecoveryCoordinator(EngineContext& ctx) : ctx_(ctx) {}
-
-  [[nodiscard]] const RecoveryStats& stats() const { return stats_; }
 
   // --- failure detection ---------------------------------------------------
   void set_heartbeat(std::chrono::milliseconds interval,
@@ -66,7 +56,6 @@ class RecoveryCoordinator {
 
  private:
   EngineContext& ctx_;
-  RecoveryStats stats_;
   std::chrono::milliseconds heartbeat_interval_{0};  // 0 = disabled
   std::chrono::milliseconds heartbeat_timeout_{0};
 };

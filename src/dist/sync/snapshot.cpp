@@ -35,7 +35,7 @@ std::uint64_t SnapshotCoordinator::initiate() {
 }
 
 void SnapshotCoordinator::on_mark(ChannelId channel_id, const MarkMsg& mark) {
-  stats_.marks_received++;
+  ctx_.stats().marks_received++;
   PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kMark,
                 ctx_.scheduler().now(), mark.token, /*initiated=*/0);
   ChannelSet& channels = ctx_.channels();
@@ -155,7 +155,7 @@ void SnapshotCoordinator::invalidate_after(SnapshotId kept) {
     if (!pending.persisted || !(kept < pending.local)) continue;
     store_->remove(cl_token);
     pending.persisted = false;
-    stats_.snapshots_invalidated++;
+    ctx_.stats().snapshots_invalidated++;
   }
 }
 
@@ -200,8 +200,8 @@ void SnapshotCoordinator::maybe_persist(std::uint64_t token) {
   const Bytes payload = ctx_.export_snapshot_image(token);
   store_->commit(token, payload);
   it->second.persisted = true;
-  stats_.snapshots_persisted++;
-  stats_.snapshot_persist_bytes += payload.size();
+  ctx_.stats().snapshots_persisted++;
+  ctx_.stats().snapshot_persist_bytes += payload.size();
   PIA_OBS_TRACE(ctx_.scheduler().trace(), obs::TraceKind::kSnapshotPersist,
                 ctx_.scheduler().now(), token, payload.size());
 }

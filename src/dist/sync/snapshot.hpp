@@ -16,18 +16,9 @@
 
 namespace pia::dist::sync {
 
-struct SnapshotStats {
-  std::uint64_t marks_received = 0;
-  std::uint64_t snapshots_persisted = 0;  // completed CL cuts written out
-  std::uint64_t snapshot_persist_bytes = 0;
-  std::uint64_t snapshots_invalidated = 0;  // durable cuts revoked by rollback
-};
-
 class SnapshotCoordinator {
  public:
   explicit SnapshotCoordinator(EngineContext& ctx) : ctx_(ctx) {}
-
-  [[nodiscard]] const SnapshotStats& stats() const { return stats_; }
 
   void set_store(std::shared_ptr<SnapshotStore> store) {
     store_ = std::move(store);
@@ -70,7 +61,6 @@ class SnapshotCoordinator {
   void record_modes(PendingSnapshot& pending) const;
 
   EngineContext& ctx_;
-  SnapshotStats stats_;
   std::map<std::uint64_t, PendingSnapshot> cl_snapshots_;
   std::uint64_t next_cl_token_ = 1;
   std::shared_ptr<SnapshotStore> store_;

@@ -390,13 +390,6 @@ std::uint64_t ScaleoutResult::total_fetches() const {
   return n;
 }
 
-std::uint64_t ScaleoutResult::total_bytes() const {
-  std::uint64_t n = 0;
-  for (const auto& per_client : fetches)
-    for (const Fetch& f : per_client) n += f.body_bytes;
-  return n;
-}
-
 // ---------------------------------------------------------------------------
 // Single-host oracle
 // ---------------------------------------------------------------------------
@@ -753,24 +746,13 @@ ScaleoutResult ScaleoutCluster::result() const {
 
 dist::SubsystemStats ScaleoutCluster::total_stats() const {
   dist::SubsystemStats total;
-  for (const dist::Subsystem* ss : subsystems_) {
-    const dist::SubsystemStats s = ss->stats();
-    total.events_sent += s.events_sent;
-    total.events_received += s.events_received;
-    total.grants_sent += s.grants_sent;
-    total.grants_received += s.grants_received;
-    total.requests_sent += s.requests_sent;
-    total.stalls += s.stalls;
-    total.rollbacks += s.rollbacks;
-    total.retracts_sent += s.retracts_sent;
-    total.retracts_received += s.retracts_received;
-    total.checkpoints += s.checkpoints;
-    total.marks_received += s.marks_received;
-  }
+  for (const dist::Subsystem* ss : subsystems_)
+    for (const dist::SubsystemCounter& row : dist::kSubsystemCounters)
+      total.*row.field += ss->stats().*row.field;
   return total;
 }
 
-dist::SubsystemStats ScaleoutCluster::frontend_stats() const {
+const dist::SubsystemStats& ScaleoutCluster::frontend_stats() const {
   return frontend_ss_->stats();
 }
 

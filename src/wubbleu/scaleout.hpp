@@ -362,7 +362,6 @@ struct ScaleoutResult {
   std::uint64_t events_dispatched = 0;
 
   [[nodiscard]] std::uint64_t total_fetches() const;
-  [[nodiscard]] std::uint64_t total_bytes() const;
   friend bool operator==(const ScaleoutResult& a, const ScaleoutResult& b) {
     return a.fetches == b.fetches;
   }
@@ -419,7 +418,7 @@ class ScaleoutCluster {
   [[nodiscard]] dist::SubsystemStats total_stats() const;
   /// SubsystemStats of the frontend subsystem alone — where per-client vs
   /// aggregated grant traffic shows up.
-  [[nodiscard]] dist::SubsystemStats frontend_stats() const;
+  [[nodiscard]] const dist::SubsystemStats& frontend_stats() const;
   /// Sum of scheduler events dispatched over every subsystem.
   [[nodiscard]] std::uint64_t events_dispatched() const;
   /// Channels in the topology (N + S + M aggregated, N + M baseline).

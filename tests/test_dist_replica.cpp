@@ -585,10 +585,10 @@ std::map<std::string, Subsystem::RunOutcome> run_slow_sink_pipe(
   auto outcomes = cluster.run_all(
       Subsystem::RunConfig{.stall_timeout = std::chrono::seconds(20)});
   *delivered = sink.received.size();
-  EXPECT_EQ(a.recovery_stats().peer_down_events, 0u);
-  EXPECT_EQ(b.recovery_stats().peer_down_events, 0u);
-  EXPECT_GT(a.recovery_stats().heartbeats_sent, 0u);
-  EXPECT_GT(b.recovery_stats().heartbeats_sent, 0u);
+  EXPECT_EQ(a.stats().peer_down_events, 0u);
+  EXPECT_EQ(b.stats().peer_down_events, 0u);
+  EXPECT_GT(a.stats().heartbeats_sent, 0u);
+  EXPECT_GT(b.stats().heartbeats_sent, 0u);
   return outcomes;
 }
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <variant>
 
 #include "dist_helpers.hpp"
 #include "obs/chrome_trace.hpp"
@@ -290,6 +294,385 @@ TEST(ClusterObservability, CollidingManualCollectionIsRejected) {
   dist::collect_metrics(sub, tagged, "dup#b");
   EXPECT_TRUE(tagged.has_scope("sub/dup#a"));
   EXPECT_TRUE(tagged.has_scope("sub/dup#b"));
+}
+
+// The metrics snapshot of a small deterministic run: every (scope, name,
+// value) as "scope name value", one a line.  Every pinned line must still
+// appear unchanged.  The recording predates the adaptive counters' copies
+// under "sub/<name>" (they lived under "engine/<name>/adaptive" alone), so
+// those are the only lines a run may add.
+constexpr const char* kPinnedMetrics = R"(
+chan/ssA/0:ssA<->ssB event_msgs_received 0
+chan/ssA/0:ssA<->ssB event_msgs_sent 30
+chan/ssA/0:ssA<->ssB granted_in_ticks 9223372036854775807
+chan/ssA/0:ssA<->ssB granted_out_ticks 9223372036854775807
+chan/ssA/0:ssA<->ssB heartbeats_received 1
+chan/ssA/0:ssA<->ssB input_log 0
+chan/ssA/0:ssA<->ssB input_trimmed 0
+chan/ssA/0:ssA<->ssB link_bytes_received 189
+chan/ssA/0:ssA<->ssB link_bytes_sent 500
+chan/ssA/0:ssA<->ssB link_faults_abrupt_closes 0
+chan/ssA/0:ssA<->ssB link_faults_delayed 0
+chan/ssA/0:ssA<->ssB link_faults_dropped 0
+chan/ssA/0:ssA<->ssB link_faults_dup_discarded 0
+chan/ssA/0:ssA<->ssB link_faults_duplicated 0
+chan/ssA/0:ssA<->ssB link_faults_partition_held 0
+chan/ssA/0:ssA<->ssB link_frames_received 8
+chan/ssA/0:ssA<->ssB link_frames_sent 9
+chan/ssA/0:ssA<->ssB link_messages_received 8
+chan/ssA/0:ssA<->ssB link_messages_sent 49
+chan/ssA/0:ssA<->ssB mode 0
+chan/ssA/0:ssA<->ssB mode_epoch 0
+chan/ssA/0:ssA<->ssB msgs_received 4
+chan/ssA/0:ssA<->ssB msgs_sent 35
+chan/ssA/0:ssA<->ssB output_log 30
+chan/ssA/0:ssA<->ssB output_trimmed 0
+chan/ssA/0:ssA<->ssB peer_down 0
+chan/ssB/0:ssA<->ssB event_msgs_received 30
+chan/ssB/0:ssA<->ssB event_msgs_sent 0
+chan/ssB/0:ssA<->ssB granted_in_ticks 9223372036854775807
+chan/ssB/0:ssA<->ssB granted_out_ticks 9223372036854775807
+chan/ssB/0:ssA<->ssB heartbeats_received 1
+chan/ssB/0:ssA<->ssB input_log 30
+chan/ssB/0:ssA<->ssB input_trimmed 0
+chan/ssB/0:ssA<->ssB link_bytes_received 492
+chan/ssB/0:ssA<->ssB link_bytes_sent 189
+chan/ssB/0:ssA<->ssB link_faults_abrupt_closes 0
+chan/ssB/0:ssA<->ssB link_faults_delayed 0
+chan/ssB/0:ssA<->ssB link_faults_dropped 0
+chan/ssB/0:ssA<->ssB link_faults_dup_discarded 0
+chan/ssB/0:ssA<->ssB link_faults_duplicated 0
+chan/ssB/0:ssA<->ssB link_faults_partition_held 0
+chan/ssB/0:ssA<->ssB link_frames_received 8
+chan/ssB/0:ssA<->ssB link_frames_sent 8
+chan/ssB/0:ssA<->ssB link_messages_received 8
+chan/ssB/0:ssA<->ssB link_messages_sent 18
+chan/ssB/0:ssA<->ssB mode 0
+chan/ssB/0:ssA<->ssB mode_epoch 0
+chan/ssB/0:ssA<->ssB msgs_received 35
+chan/ssB/0:ssA<->ssB msgs_sent 4
+chan/ssB/0:ssA<->ssB output_log 0
+chan/ssB/0:ssA<->ssB output_trimmed 0
+chan/ssB/0:ssA<->ssB peer_down 0
+chan/ssB/1:ssB<->ssC event_msgs_received 0
+chan/ssB/1:ssB<->ssC event_msgs_sent 40
+chan/ssB/1:ssB<->ssC granted_in_ticks 9223372036854775807
+chan/ssB/1:ssB<->ssC granted_out_ticks 9223372036854775807
+chan/ssB/1:ssB<->ssC heartbeats_received 1
+chan/ssB/1:ssB<->ssC input_log 0
+chan/ssB/1:ssB<->ssC input_trimmed 0
+chan/ssB/1:ssB<->ssC link_bytes_received 182
+chan/ssB/1:ssB<->ssC link_bytes_sent 608
+chan/ssB/1:ssB<->ssC link_faults_abrupt_closes 0
+chan/ssB/1:ssB<->ssC link_faults_delayed 0
+chan/ssB/1:ssB<->ssC link_faults_dropped 0
+chan/ssB/1:ssB<->ssC link_faults_dup_discarded 0
+chan/ssB/1:ssB<->ssC link_faults_duplicated 0
+chan/ssB/1:ssB<->ssC link_faults_partition_held 0
+chan/ssB/1:ssB<->ssC link_frames_received 7
+chan/ssB/1:ssB<->ssC link_frames_sent 8
+chan/ssB/1:ssB<->ssC link_messages_received 7
+chan/ssB/1:ssB<->ssC link_messages_sent 58
+chan/ssB/1:ssB<->ssC mode 0
+chan/ssB/1:ssB<->ssC mode_epoch 1
+chan/ssB/1:ssB<->ssC msgs_received 3
+chan/ssB/1:ssB<->ssC msgs_sent 43
+chan/ssB/1:ssB<->ssC output_log 40
+chan/ssB/1:ssB<->ssC output_trimmed 0
+chan/ssB/1:ssB<->ssC peer_down 0
+chan/ssC/0:ssB<->ssC event_msgs_received 40
+chan/ssC/0:ssB<->ssC event_msgs_sent 0
+chan/ssC/0:ssB<->ssC granted_in_ticks 9223372036854775807
+chan/ssC/0:ssB<->ssC granted_out_ticks 9223372036854775807
+chan/ssC/0:ssB<->ssC heartbeats_received 1
+chan/ssC/0:ssB<->ssC input_log 40
+chan/ssC/0:ssB<->ssC input_trimmed 0
+chan/ssC/0:ssB<->ssC link_bytes_received 608
+chan/ssC/0:ssB<->ssC link_bytes_sent 190
+chan/ssC/0:ssB<->ssC link_faults_abrupt_closes 0
+chan/ssC/0:ssB<->ssC link_faults_delayed 0
+chan/ssC/0:ssB<->ssC link_faults_dropped 0
+chan/ssC/0:ssB<->ssC link_faults_dup_discarded 0
+chan/ssC/0:ssB<->ssC link_faults_duplicated 0
+chan/ssC/0:ssB<->ssC link_faults_partition_held 0
+chan/ssC/0:ssB<->ssC link_frames_received 8
+chan/ssC/0:ssB<->ssC link_frames_sent 8
+chan/ssC/0:ssB<->ssC link_messages_received 8
+chan/ssC/0:ssB<->ssC link_messages_sent 17
+chan/ssC/0:ssB<->ssC mode 0
+chan/ssC/0:ssB<->ssC mode_epoch 1
+chan/ssC/0:ssB<->ssC msgs_received 43
+chan/ssC/0:ssB<->ssC msgs_sent 3
+chan/ssC/0:ssB<->ssC output_log 0
+chan/ssC/0:ssB<->ssC output_trimmed 0
+chan/ssC/0:ssB<->ssC peer_down 0
+dispatch/ssA __chan_ssA<->ssB 30
+dispatch/ssA slow 30
+dispatch/ssB __chan_ssA<->ssB 30
+dispatch/ssB __chan_ssB<->ssC 40
+dispatch/ssB fast 40
+dispatch/ssB slow_sink 30
+dispatch/ssC __chan_ssB<->ssC 40
+dispatch/ssC fast_sink 40
+engine/ssA/adaptive hold_slices 0
+engine/ssA/adaptive mode_changes 0
+engine/ssA/adaptive proposals_accepted 0
+engine/ssA/adaptive proposals_received 0
+engine/ssA/adaptive proposals_rejected 0
+engine/ssA/adaptive proposals_sent 0
+engine/ssA/adaptive to_conservative 0
+engine/ssA/adaptive to_optimistic 0
+engine/ssA/conservative grants_received 2
+engine/ssA/conservative grants_sent 3
+engine/ssA/conservative requests_sent 1
+engine/ssA/conservative stalls 1
+engine/ssA/optimistic checkpoints 2
+engine/ssA/optimistic retracts_received 0
+engine/ssA/optimistic retracts_sent 0
+engine/ssA/optimistic rollbacks 0
+engine/ssA/recovery heartbeats_received 1
+engine/ssA/recovery heartbeats_sent 1
+engine/ssA/recovery peer_down_events 0
+engine/ssA/recovery recoveries 0
+engine/ssA/recovery rejoins_verified 0
+engine/ssA/snapshot marks_received 1
+engine/ssA/snapshot snapshot_persist_bytes 0
+engine/ssA/snapshot snapshots_invalidated 0
+engine/ssA/snapshot snapshots_persisted 0
+engine/ssA/traffic events_received 0
+engine/ssA/traffic events_sent 30
+engine/ssB/adaptive hold_slices 1
+engine/ssB/adaptive mode_changes 1
+engine/ssB/adaptive proposals_accepted 0
+engine/ssB/adaptive proposals_received 0
+engine/ssB/adaptive proposals_rejected 0
+engine/ssB/adaptive proposals_sent 1
+engine/ssB/adaptive to_conservative 1
+engine/ssB/adaptive to_optimistic 0
+engine/ssB/conservative grants_received 5
+engine/ssB/conservative grants_sent 4
+engine/ssB/conservative requests_sent 1
+engine/ssB/conservative stalls 1
+engine/ssB/optimistic checkpoints 4
+engine/ssB/optimistic retracts_received 0
+engine/ssB/optimistic retracts_sent 0
+engine/ssB/optimistic rollbacks 0
+engine/ssB/recovery heartbeats_received 2
+engine/ssB/recovery heartbeats_sent 2
+engine/ssB/recovery peer_down_events 0
+engine/ssB/recovery recoveries 0
+engine/ssB/recovery rejoins_verified 0
+engine/ssB/snapshot marks_received 2
+engine/ssB/snapshot snapshot_persist_bytes 0
+engine/ssB/snapshot snapshots_invalidated 0
+engine/ssB/snapshot snapshots_persisted 0
+engine/ssB/traffic events_received 30
+engine/ssB/traffic events_sent 40
+engine/ssC/adaptive hold_slices 2
+engine/ssC/adaptive mode_changes 1
+engine/ssC/adaptive proposals_accepted 1
+engine/ssC/adaptive proposals_received 1
+engine/ssC/adaptive proposals_rejected 0
+engine/ssC/adaptive proposals_sent 0
+engine/ssC/adaptive to_conservative 1
+engine/ssC/adaptive to_optimistic 0
+engine/ssC/conservative grants_received 2
+engine/ssC/conservative grants_sent 2
+engine/ssC/conservative requests_sent 0
+engine/ssC/conservative stalls 2
+engine/ssC/optimistic checkpoints 2
+engine/ssC/optimistic retracts_received 0
+engine/ssC/optimistic retracts_sent 0
+engine/ssC/optimistic rollbacks 0
+engine/ssC/recovery heartbeats_received 1
+engine/ssC/recovery heartbeats_sent 1
+engine/ssC/recovery peer_down_events 0
+engine/ssC/recovery recoveries 0
+engine/ssC/recovery rejoins_verified 0
+engine/ssC/snapshot marks_received 1
+engine/ssC/snapshot snapshot_persist_bytes 0
+engine/ssC/snapshot snapshots_invalidated 0
+engine/ssC/snapshot snapshots_persisted 0
+engine/ssC/traffic events_received 40
+engine/ssC/traffic events_sent 0
+sub/ssA checkpoints 2
+sub/ssA events_received 0
+sub/ssA events_sent 30
+sub/ssA grants_received 2
+sub/ssA grants_sent 3
+sub/ssA heartbeats_received 1
+sub/ssA heartbeats_sent 1
+sub/ssA marks_received 1
+sub/ssA peer_down_events 0
+sub/ssA recoveries 0
+sub/ssA rejoins_verified 0
+sub/ssA requests_sent 1
+sub/ssA retracts_received 0
+sub/ssA retracts_sent 0
+sub/ssA rollbacks 0
+sub/ssA sched_events_dispatched 60
+sub/ssA sched_events_scheduled 60
+sub/ssA sched_runlevel_switches 0
+sub/ssA sched_violations 0
+sub/ssA sched_wakes_dispatched 30
+sub/ssA snapshot_persist_bytes 0
+sub/ssA snapshots_invalidated 0
+sub/ssA snapshots_persisted 0
+sub/ssA stalls 1
+sub/ssA trace_dropped 0
+sub/ssA trace_records 0
+sub/ssB checkpoints 4
+sub/ssB events_received 30
+sub/ssB events_sent 40
+sub/ssB grants_received 5
+sub/ssB grants_sent 4
+sub/ssB heartbeats_received 2
+sub/ssB heartbeats_sent 2
+sub/ssB marks_received 2
+sub/ssB peer_down_events 0
+sub/ssB recoveries 0
+sub/ssB rejoins_verified 0
+sub/ssB requests_sent 1
+sub/ssB retracts_received 0
+sub/ssB retracts_sent 0
+sub/ssB rollbacks 0
+sub/ssB sched_events_dispatched 140
+sub/ssB sched_events_scheduled 140
+sub/ssB sched_runlevel_switches 0
+sub/ssB sched_violations 0
+sub/ssB sched_wakes_dispatched 40
+sub/ssB snapshot_persist_bytes 0
+sub/ssB snapshots_invalidated 0
+sub/ssB snapshots_persisted 0
+sub/ssB stalls 1
+sub/ssB trace_dropped 0
+sub/ssB trace_records 0
+sub/ssC checkpoints 2
+sub/ssC events_received 40
+sub/ssC events_sent 0
+sub/ssC grants_received 2
+sub/ssC grants_sent 2
+sub/ssC heartbeats_received 1
+sub/ssC heartbeats_sent 1
+sub/ssC marks_received 1
+sub/ssC peer_down_events 0
+sub/ssC recoveries 0
+sub/ssC rejoins_verified 0
+sub/ssC requests_sent 0
+sub/ssC retracts_received 0
+sub/ssC retracts_sent 0
+sub/ssC rollbacks 0
+sub/ssC sched_events_dispatched 80
+sub/ssC sched_events_scheduled 80
+sub/ssC sched_runlevel_switches 0
+sub/ssC sched_violations 0
+sub/ssC sched_wakes_dispatched 0
+sub/ssC snapshot_persist_bytes 0
+sub/ssC snapshots_invalidated 0
+sub/ssC snapshots_persisted 0
+sub/ssC stalls 2
+sub/ssC trace_dropped 0
+sub/ssC trace_records 0
+)";
+
+std::string metric_line(const std::string& scope, const std::string& name,
+                        const MetricsRegistry::MetricValue& value) {
+  return scope + " " + name + " " +
+         std::visit([](auto v) { return std::to_string(v); }, value);
+}
+
+TEST(ClusterObservability, MetricsKeysAndValuesArePinned) {
+  TraceFlagGuard guard;
+  set_trace_enabled(false);
+  // A chain ssA -> ssB -> ssC: a producer on ssA feeds a sink on ssB over a
+  // conservative channel, and a producer on ssB feeds a sink on ssC over an
+  // optimistic channel that ssB then forces to conservative (a proposal, a
+  // Chandy–Lamport cut and a flip on both sides).  The subsystems run slice
+  // by slice on this one thread over loopback wires, so every counter is
+  // reproducible.  Heartbeats are armed with an interval longer than the
+  // run: one beacon per channel endpoint.
+  dist::NodeCluster cluster;
+  dist::Subsystem& a = cluster.add_node("nodeA").add_subsystem("ssA");
+  dist::Subsystem& b = cluster.add_node("nodeB").add_subsystem("ssB");
+  dist::Subsystem& c = cluster.add_node("nodeC").add_subsystem("ssC");
+  auto& slow = a.scheduler().emplace<testing::Producer>("slow", 30, ticks(10));
+  auto& slow_sink = b.scheduler().emplace<testing::Sink>("slow_sink");
+  auto& fast = b.scheduler().emplace<testing::Producer>("fast", 40, ticks(7));
+  auto& fast_sink = c.scheduler().emplace<testing::Sink>("fast_sink");
+  const NetId slow_a = a.scheduler().make_net("slow");
+  a.scheduler().attach(slow_a, slow.id(), "out");
+  const NetId slow_b = b.scheduler().make_net("slow");
+  b.scheduler().attach(slow_b, slow_sink.id(), "in");
+  const NetId fast_b = b.scheduler().make_net("fast");
+  b.scheduler().attach(fast_b, fast.id(), "out");
+  const NetId fast_c = c.scheduler().make_net("fast");
+  c.scheduler().attach(fast_c, fast_sink.id(), "in");
+  const dist::ChannelPair cons =
+      cluster.connect_checked(a, b, dist::ChannelMode::kConservative);
+  const dist::ChannelPair opt =
+      cluster.connect_checked(b, c, dist::ChannelMode::kOptimistic);
+  dist::split_net(a, cons.a, slow_a, b, cons.b, slow_b);
+  dist::split_net(b, opt.a, fast_b, c, opt.b, fast_c);
+  const std::vector<dist::Subsystem*> subsystems = {&a, &b, &c};
+  for (dist::Subsystem* s : subsystems) {
+    s->set_heartbeat(std::chrono::hours(1), std::chrono::hours(2));
+    s->set_adaptive_sync();
+  }
+  cluster.start_all();
+  b.request_mode_change(opt.a, dist::ChannelMode::kConservative);
+
+  const dist::Subsystem::RunConfig config;
+  std::vector<std::optional<dist::Subsystem::RunOutcome>> done(3);
+  for (int slice = 0; slice < 10000; ++slice) {
+    bool all_done = true;
+    for (std::size_t i = 0; i < subsystems.size(); ++i) {
+      bool progressed = false;
+      if (!done[i]) done[i] = subsystems[i]->run_slice(config, progressed);
+      all_done = all_done && done[i].has_value();
+    }
+    if (all_done) break;
+  }
+  for (const auto& outcome : done)
+    ASSERT_EQ(outcome, dist::Subsystem::RunOutcome::kQuiescent);
+  ASSERT_EQ(slow_sink.received.size(), 30u);
+  ASSERT_EQ(fast_sink.received.size(), 40u);
+  ASSERT_EQ(b.channel(opt.a).mode(), dist::ChannelMode::kConservative);
+
+  const MetricsRegistry metrics = cluster.metrics();
+  std::set<std::string> seen;
+  std::string dump;
+  for (const auto& [scope, names] : metrics.entries())
+    for (const auto& [name, value] : names) {
+      seen.insert(metric_line(scope, name, value));
+      dump += metric_line(scope, name, value) + "\n";
+    }
+
+  std::istringstream golden(kPinnedMetrics);
+  std::set<std::string> pinned;
+  for (std::string line; std::getline(golden, line);)
+    if (!line.empty()) pinned.insert(line);
+  for (const std::string& want : pinned)
+    EXPECT_TRUE(seen.count(want) != 0) << "lost or changed: " << want;
+
+  // New lines may only be sub/<name> copies of the adaptive counters.
+  const std::set<std::string> adaptive = {
+      "proposals_sent", "proposals_received", "proposals_accepted",
+      "proposals_rejected", "mode_changes", "to_optimistic",
+      "to_conservative", "hold_slices"};
+  for (const auto& [scope, names] : metrics.entries())
+    for (const auto& [name, value] : names) {
+      const std::string entry = metric_line(scope, name, value);
+      if (pinned.count(entry) != 0) continue;
+      const bool sub_adaptive =
+          scope.rfind("sub/", 0) == 0 && adaptive.count(name) != 0;
+      EXPECT_TRUE(sub_adaptive) << "unexpected metric: " << entry;
+      if (sub_adaptive) {
+        EXPECT_EQ(value, metrics.get("engine/" + scope.substr(4) + "/adaptive",
+                                     name))
+            << entry;
+      }
+    }
+  EXPECT_FALSE(HasFailure()) << "actual metrics:\n" << dump;
 }
 
 TEST(ClusterObservability, DisabledCaptureRecordsNothing) {

@@ -3,6 +3,9 @@
 // deployments against the single-host oracle at small N.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -261,6 +264,28 @@ TEST(Scaleout, StationAndShardCountersBalance) {
   // Farm tree: one channel per client, per station, per shard.
   EXPECT_EQ(cluster.channel_count(),
             spec.clients + spec.stations() + spec.shards);
+}
+
+TEST(Scaleout, TotalStatsSumEveryFieldOfEverySubsystem) {
+  // total_stats() must be the field-wise sum of the subsystems' stats(),
+  // every field included.  Heartbeats (armed with an interval longer than
+  // the run: one beacon per channel endpoint) fill fields past the sync
+  // counters, which a sum of the first few fields would leave at zero.
+  // The fields are compared as raw words, so the check needs no list of
+  // field names that could miss one.
+  ScaleoutCluster cluster(small_spec());
+  for (dist::Subsystem* s : cluster.cluster().all_subsystems())
+    s->set_heartbeat(std::chrono::hours(1), std::chrono::hours(2));
+  cluster.run();
+  using Words = std::array<std::uint64_t, sizeof(dist::SubsystemStats) /
+                                              sizeof(std::uint64_t)>;
+  Words want{};
+  for (const dist::Subsystem* s : cluster.cluster().all_subsystems()) {
+    const auto words = std::bit_cast<Words>(dist::SubsystemStats{s->stats()});
+    for (std::size_t i = 0; i < want.size(); ++i) want[i] += words[i];
+  }
+  EXPECT_GT(std::bit_cast<dist::SubsystemStats>(want).heartbeats_sent, 0u);
+  EXPECT_EQ(std::bit_cast<Words>(cluster.total_stats()), want);
 }
 
 TEST(Scaleout, PerClientChannelCountIsNPlusM) {

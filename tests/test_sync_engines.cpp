@@ -117,7 +117,6 @@ class StubContext : public EngineContext {
   Bytes export_snapshot_image(std::uint64_t /*token*/) const override {
     return Bytes{};
   }
-  ChannelCostSample cost_sample() const override { return {}; }
   bool mode_negotiation_hold() const override { return false; }
   bool mode_change_allowed() const override { return true; }
   std::uint64_t initiate_snapshot() override { return snapshot_->initiate(); }
@@ -889,7 +888,7 @@ TEST(SyncSnapshot, MarkBookkeepingRecordsInFlightChannelState) {
   ASSERT_EQ(pending->recorded[0].size(), 1u);
   EXPECT_EQ(pending->recorded[0][0].id.counter, 1u);
   EXPECT_TRUE(pending->recorded[1].empty());
-  EXPECT_EQ(snap.stats().marks_received, 2u);
+  EXPECT_EQ(ctx.stats().marks_received, 2u);
 }
 
 TEST(SyncSnapshot, PeerMarkCheckpointsOnceAndRelays) {
@@ -897,12 +896,12 @@ TEST(SyncSnapshot, PeerMarkCheckpointsOnceAndRelays) {
   ctx.add_channel(ChannelMode::kConservative);
   ctx.add_channel(ChannelMode::kConservative);
   SnapshotCoordinator& snap = ctx.snapshot();
-  const std::uint64_t before = ctx.optimistic().stats().checkpoints;
+  const std::uint64_t before = ctx.stats().checkpoints;
 
   // First sight of a peer-initiated token: checkpoint, relay marks on every
   // channel, and treat the arrival channel's state as already complete.
   snap.on_mark(ChannelId{0}, MarkMsg{.token = 77});
-  EXPECT_EQ(ctx.optimistic().stats().checkpoints, before + 1);
+  EXPECT_EQ(ctx.stats().checkpoints, before + 1);
   EXPECT_EQ(ctx.sent_on(0).size(), 1u);
   EXPECT_EQ(ctx.sent_on(1).size(), 1u);
   const PendingSnapshot* pending = snap.find(77);
@@ -913,7 +912,7 @@ TEST(SyncSnapshot, PeerMarkCheckpointsOnceAndRelays) {
   // The second mark completes the cut without another checkpoint or relay.
   snap.on_mark(ChannelId{1}, MarkMsg{.token = 77});
   EXPECT_TRUE(snap.complete(77));
-  EXPECT_EQ(ctx.optimistic().stats().checkpoints, before + 1);
+  EXPECT_EQ(ctx.stats().checkpoints, before + 1);
   EXPECT_TRUE(ctx.sent_on(0).empty());
 }
 

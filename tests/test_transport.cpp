@@ -684,12 +684,12 @@ TEST(ModeNegotiation, PeerWithoutCapabilityRejectsAndChannelStaysFixed) {
   EXPECT_EQ(pair.b.channel(pair.cb).mode(), ChannelMode::kConservative);
   EXPECT_EQ(pair.a.channel(pair.ca).mode_epoch(), 0u);
   EXPECT_EQ(pair.b.channel(pair.cb).mode_epoch(), 0u);
-  EXPECT_EQ(pair.a.adaptive_stats().proposals_sent, 1u);
-  EXPECT_EQ(pair.a.adaptive_stats().mode_changes, 0u);
-  EXPECT_EQ(pair.b.adaptive_stats().proposals_rejected, 1u);
+  EXPECT_EQ(pair.a.stats().proposals_sent, 1u);
+  EXPECT_EQ(pair.a.stats().mode_changes, 0u);
+  EXPECT_EQ(pair.b.stats().proposals_rejected, 1u);
   // The "unsupported" answer is remembered: no re-proposal storm.
   pump(pair.a, pair.b);
-  EXPECT_EQ(pair.a.adaptive_stats().proposals_sent, 1u);
+  EXPECT_EQ(pair.a.stats().proposals_sent, 1u);
 }
 
 TEST(ModeNegotiation, ForcedFlipLandsOnBothEndpointsAtTheCut) {
@@ -704,8 +704,8 @@ TEST(ModeNegotiation, ForcedFlipLandsOnBothEndpointsAtTheCut) {
   // The epoch fence advanced in lockstep.
   EXPECT_EQ(pair.a.channel(pair.ca).mode_epoch(), 1u);
   EXPECT_EQ(pair.b.channel(pair.cb).mode_epoch(), 1u);
-  EXPECT_EQ(pair.a.adaptive_stats().mode_changes, 1u);
-  EXPECT_EQ(pair.b.adaptive_stats().mode_changes, 1u);
+  EXPECT_EQ(pair.a.stats().mode_changes, 1u);
+  EXPECT_EQ(pair.b.stats().mode_changes, 1u);
   EXPECT_EQ(pair.a.stats().mode_changes, 1u);
 
   // And back again, symmetrically, proposed from the other side.

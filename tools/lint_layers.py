@@ -46,6 +46,12 @@ Two scale-out seams carry their own rules:
     (dist/executor.hpp); thread placement is chosen via NodeCluster options,
     never by reaching into the pool directly.
 
+One rule covers where protocol counters live: a subsystem's counters are
+the fields of SubsystemStats (engine_context.hpp), which the facade and
+every engine increment in place, so no file under src/dist/sync/ may
+declare another `struct ...Stats`.  A per-engine block would need its own
+copy into the totals, and such copies drift.
+
 One rule covers how the library sleeps: transport::poll_until is its one
 timed sleep (it sets the thread's timer slack so a wait ends at its
 deadline), so sleep_for, sleep_until, nanosleep and usleep may be called in
@@ -95,6 +101,8 @@ EXECUTOR_DIST_ALLOWED = {
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
+STATS_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Stats)\b")
+
 SLEEP_RE = re.compile(r"\b(sleep_for|sleep_until|nanosleep|usleep)\s*\(")
 SLEEP_HOME = SRC / "transport" / "ready.cpp"
 
@@ -136,6 +144,20 @@ def check_sleeps(path, errors):
                 f"{path}:{line_number}: raw {match.group(1)}() outside "
                 f"transport/ready.cpp; sleep through transport::poll_until "
                 f"(an empty fd set sleeps to the deadline)"
+            )
+
+
+def check_stats_structs(path, errors):
+    for line_number, line in enumerate(
+        path.read_text().splitlines(), start=1
+    ):
+        code = line.split("//", 1)[0]
+        match = STATS_STRUCT_RE.search(code)
+        if match and match.group(1) != "SubsystemStats":
+            errors.append(
+                f"{path}:{line_number}: struct {match.group(1)} in "
+                f"dist/sync/; count into SubsystemStats instead of a "
+                f"per-engine stats block"
             )
 
 
@@ -236,6 +258,7 @@ def main():
             check_sleeps(path, errors)
             if path.parent.name == "sync":
                 check_engine(path, errors)
+                check_stats_structs(path, errors)
             if layer == "dist" and path.name.split(".")[0] == "executor":
                 check_executor(path, errors)
             if layer == "dist" and path.name.split(".")[0] == "sharding":
