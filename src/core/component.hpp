@@ -103,6 +103,38 @@ class Component {
   /// strobe and ack) should return false.
   [[nodiscard]] virtual bool at_safe_point() const { return true; }
 
+  // --- output horizons (DESIGN.md "Output horizons") -----------------------
+  //
+  // What the model state proves about when an output can next fire.  The
+  // distributed layer builds its safe-time promises from these; a component
+  // that calls declare_horizons() must keep both honest, for every handler
+  // (on_receive, on_wake, on_runlevel) and every state it can reach.
+
+  /// True once the constructor called declare_horizons().  Until then the
+  /// channel lookaheads stand in for this component's latencies.
+  [[nodiscard]] bool declares_horizons() const { return declares_horizons_; }
+
+  /// Absent new input, nothing leaves output `out` before this time; the
+  /// component's own pending wakes must be covered.  The default, local
+  /// time, promises nothing.
+  [[nodiscard]] virtual VirtualTime quiet_until(PortIndex out) const {
+    (void)out;
+    return local_time_;
+  }
+
+  /// In the current state, a value arriving on input `in` at t makes
+  /// nothing leave output `out` before t + min_latency(in, out); infinity
+  /// when `in` cannot cause `out` at all.  The default, zero, promises
+  /// nothing.  A latency may depend on state that an input changes only if
+  /// that input's own declared path to `out` is no slower than the path
+  /// the change opens.
+  [[nodiscard]] virtual VirtualTime min_latency(PortIndex in,
+                                                PortIndex out) const {
+    (void)in;
+    (void)out;
+    return VirtualTime::zero();
+  }
+
   // --- checkpointing (paper §2.1.2) ----------------------------------------
 
   /// Serialize all user state.  The kernel wraps this with local time,
@@ -143,6 +175,9 @@ class Component {
   /// Sets the runlevel a component starts in (constructor use only — once
   /// simulation runs, switches go through request_runlevel / switchpoints).
   void set_initial_runlevel(const RunLevel& level) { runlevel_ = level; }
+  /// Opts into output horizons: quiet_until() and min_latency() are then
+  /// read as this component's promises (constructor use only).
+  void declare_horizons() { declares_horizons_ = true; }
 
  private:
   friend class Scheduler;
@@ -153,6 +188,7 @@ class Component {
   VirtualTime local_time_ = VirtualTime::zero();
   VirtualTime delivery_time_ = VirtualTime::zero();
   RunLevel runlevel_;
+  bool declares_horizons_ = false;
   std::vector<Port> ports_;
   ComponentContext* context_ = nullptr;  // non-owning; set while scheduled
 };

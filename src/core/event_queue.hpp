@@ -53,9 +53,10 @@ class EventQueue {
   /// Calls fn(event) for every pending event with time < bound, heap lane
   /// first, in no particular order.  A heap node is never earlier than its
   /// parent and the run is sorted, so both walks stop at the bound: the cost
-  /// follows the number of early events, not the queue size.
+  /// follows the number of early events, not the queue size.  The bound is
+  /// re-read at every step, so fn may lower it to cut the walk short.
   template <typename Fn>
-  void for_each_before(VirtualTime bound, const Fn& fn) const {
+  void for_each_before(const VirtualTime& bound, const Fn& fn) const {
     visit_before(0, bound, fn);
     for (std::size_t i = head_; i < run_.size() && run_[i].time < bound; ++i)
       fn(run_[i]);
@@ -139,7 +140,8 @@ class EventQueue {
   }
 
   template <typename Fn>
-  void visit_before(std::size_t i, VirtualTime bound, const Fn& fn) const {
+  void visit_before(std::size_t i, const VirtualTime& bound,
+                    const Fn& fn) const {
     if (i >= heap_.size() || !(heap_[i].time < bound)) return;
     fn(heap_[i]);
     const std::size_t first_child = i * kArity + 1;

@@ -104,9 +104,9 @@ class Scheduler final : public ComponentContext {
   /// storage order (NOT dispatch order), skipping the rest unvisited.
   /// For bounded aggregate scans — e.g. the conservative engine prices
   /// queued channel-proxy crossings at their exact stamps when granting
-  /// safe times.
+  /// safe times.  The bound is re-read at every step, so fn may lower it.
   template <typename Fn>
-  void for_each_pending_before(VirtualTime bound, const Fn& fn) const {
+  void for_each_pending_before(const VirtualTime& bound, const Fn& fn) const {
     queue_.for_each_before(bound, fn);
   }
 

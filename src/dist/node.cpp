@@ -124,6 +124,19 @@ void NodeCluster::register_logical_channel(const std::string& a,
 
 void NodeCluster::start_all() {
   topology_.validate();
+  // A channel wired with Subsystem::add_channel bypasses the validation
+  // above.  One that parallels a declared edge never terminates (the probe
+  // wave cannot close on a multi-edge), so a declared subsystem must own
+  // exactly the channels declared for it.
+  for (Subsystem* s : all_subsystems())
+    if (topology_.has_subsystem(s->name()) &&
+        s->channel_count() != topology_.degree(s->name()))
+      raise(ErrorKind::kTopology,
+            "subsystem '" + s->name() + "' has " +
+                std::to_string(s->channel_count()) + " channels but " +
+                std::to_string(topology_.degree(s->name())) +
+                " declared to the cluster topology (parallel or "
+                "unregistered channels)");
   for (auto& n : nodes_) n->start_all();
 }
 

@@ -1,7 +1,6 @@
 #include "dist/replica.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/error.hpp"
 #include "base/log.hpp"
@@ -137,15 +136,6 @@ void ReplicaLinkGroup::reattach_member(std::size_t member,
   mem.alive = true;
   dedup_.rebase_member(member);
   if (signal_) mem.link->set_ready_signal(signal_);
-}
-
-void ReplicaLinkGroup::retire_member(std::size_t member) {
-  Member& mem = members_.at(member);
-  if (!mem.alive) return;
-  mem.alive = false;
-  mem.link->close();
-  settle_member_death(member);
-  if (death_callback_) death_callback_(member);
 }
 
 void ReplicaLinkGroup::settle_member_death(std::size_t member) {
@@ -495,13 +485,6 @@ std::size_t ReplicaSet::live_members() const {
   return group_ == nullptr ? members_.size() : group_->live_count();
 }
 
-void ReplicaSet::retire_member(std::size_t member) {
-  PIA_REQUIRE(group_ != nullptr, "retire before connect");
-  PIA_REQUIRE(group_->live_count() > 1,
-              "cannot retire the last live replica of '" + name_ + "'");
-  group_->retire_member(member);
-}
-
 ChannelId ReplicaSet::attach_member(std::size_t member, Subsystem& fresh,
                                     Wire wire,
                                     transport::LatencyModel latency) {
@@ -521,46 +504,6 @@ ChannelId ReplicaSet::attach_member(std::size_t member, Subsystem& fresh,
   members_.at(member) = &fresh;
   channel_.members.at(member) = id;
   return id;
-}
-
-void ReplicaSet::set_target_availability(double availability) {
-  PIA_REQUIRE(availability >= 0.0 && availability < 1.0,
-              "target availability must be in [0, 1)");
-  target_availability_ = availability;
-}
-
-std::size_t ReplicaSet::desired_replicas() const {
-  if (members_.empty()) return 0;
-  if (target_availability_ <= 0.0 || group_ == nullptr) return 1;
-  // Measured per-member frame unreliability: faults that lose or sever a
-  // frame, over everything the member links carried.
-  std::uint64_t faulted = 0;
-  std::uint64_t carried = 0;
-  for (std::size_t m = 0; m < group_->member_count(); ++m) {
-    const transport::LinkStats s = group_->member_stats(m);
-    faulted +=
-        s.faults_dropped + s.faults_abrupt_closes + s.faults_partition_held;
-    carried += s.frames_sent + s.frames_received;
-  }
-  if (faulted == 0) return 1;
-  const double unreliability =
-      std::min(0.999, static_cast<double>(faulted) /
-                          static_cast<double>(faulted + carried));
-  // Smallest K with 1 - u^K >= target, i.e. K >= log(1-target) / log(u).
-  const double k = std::log(1.0 - target_availability_) /
-                   std::log(unreliability);
-  return std::clamp(static_cast<std::size_t>(std::ceil(k)),
-                    std::size_t{1}, members_.size());
-}
-
-std::size_t ReplicaSet::retune() {
-  if (group_ == nullptr) return members_.size();
-  const std::size_t desired = std::max<std::size_t>(1, desired_replicas());
-  std::size_t m = members_.size();
-  while (m-- > 0 && group_->live_count() > desired) {
-    if (group_->member_live(m)) group_->retire_member(m);
-  }
-  return group_->live_count();
 }
 
 ReplicaSet::Channel connect_replicated_checked(

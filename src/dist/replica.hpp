@@ -205,8 +205,6 @@ class ReplicaLinkGroup final : public transport::Link {
   /// a drained barrier with the new clone primed to the accepted state;
   /// frames still in flight from the previous epoch are dropped.
   void reattach_member(std::size_t member, transport::LinkPtr link);
-  /// Administratively drops a live member (self-tuning retire path).
-  void retire_member(std::size_t member);
 
   [[nodiscard]] std::size_t member_count() const { return members_.size(); }
   [[nodiscard]] std::size_t live_count() const;
@@ -215,9 +213,6 @@ class ReplicaLinkGroup final : public transport::Link {
   }
   [[nodiscard]] std::uint64_t member_epoch(std::size_t member) const {
     return members_.at(member).epoch;
-  }
-  [[nodiscard]] transport::LinkStats member_stats(std::size_t member) const {
-    return members_.at(member).link->stats();
   }
 
   /// Invoked (from the owning endpoint's thread) whenever a member is
@@ -334,10 +329,6 @@ class ReplicaSet {
 
   [[nodiscard]] std::size_t live_members() const;
 
-  /// Administratively retires a live member (drops it from the group and
-  /// from GVT).  The survivors keep serving without interruption.
-  void retire_member(std::size_t member);
-
   /// Re-attaches a fresh clone on a dead/retired member's slot with a
   /// bumped epoch.  Only valid at a drained barrier, with `fresh` primed to
   /// the set's current logical state (e.g. restored from a sibling's
@@ -346,26 +337,6 @@ class ReplicaSet {
                           Wire wire = Wire::kLoopback,
                           transport::LatencyModel latency = {});
 
-  // --- self-tuning (FT-GAIA adaptive direction) -----------------------------
-
-  /// Sets the availability target used by desired_replicas()/retune().
-  /// 0 (the default) disables self-tuning.
-  void set_target_availability(double availability);
-  [[nodiscard]] double target_availability() const {
-    return target_availability_;
-  }
-
-  /// Replica count needed to meet the availability target given the fault
-  /// rate observed on the member links (FaultLink counters): the smallest K
-  /// with 1 - u^K >= target, where u is the measured per-member frame
-  /// unreliability.  At least 1; at most the registered member count.
-  [[nodiscard]] std::size_t desired_replicas() const;
-
-  /// Retires surplus live members down to desired_replicas() (highest slot
-  /// first).  Growing the set is the caller's job: spawn a primed clone and
-  /// attach_member() it at a barrier.  Returns the live count after.
-  std::size_t retune();
-
  private:
   std::string name_;
   std::vector<Subsystem*> members_;
@@ -373,7 +344,6 @@ class ReplicaSet {
   Subsystem* peer_ = nullptr;
   ChannelMode mode_ = ChannelMode::kConservative;
   Channel channel_;
-  double target_availability_ = 0.0;
 };
 
 class NodeCluster;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dist/sync/engine_context.hpp"
+#include "dist/sync/horizon.hpp"
 
 namespace pia::dist::sync {
 
@@ -33,14 +34,15 @@ class ConservativeEngine {
   // --- run-loop services ---------------------------------------------------
 
   /// Derives the proxy -> channel lookup grant pricing classifies pending
-  /// events with.  Wiring is frozen once the subsystem starts, so
-  /// Subsystem::start() calls this once; until then no pending event
-  /// counts as a channel crossing.
+  /// events with, and the output-horizon graph.  Wiring is frozen once the
+  /// subsystem starts, so Subsystem::start() calls this once; until then no
+  /// pending event counts as a channel crossing.
   void index_channels();
 
   /// The grant we can promise `requester` right now (self-restriction
   /// removed): min over next local event and the grants peers on *other*
-  /// channels gave us, plus the channel lookahead.
+  /// channels gave us, plus the channel lookahead; or, when components
+  /// declare output horizons, the channel's earliest possible crossing.
   [[nodiscard]] VirtualTime grant_for(ChannelId requester);
 
   /// min over conservative channels of granted_in (the advance barrier).
@@ -140,8 +142,12 @@ class ConservativeEngine {
   /// Records and sends one grant on `c` (request_id 0 for a push).
   void send_grant(ChannelEndpoint& c, std::uint64_t request_id,
                   VirtualTime grant);
-  /// Prices the grants of channels [first, last) into grants_ in one pass.
+  /// Prices the grants of channels [first, last) into grants_ in one pass,
+  /// and their reaction slack into slack_.
   void price_grants(std::uint32_t first, std::uint32_t last);
+  /// price_grants() from output horizons: each channel's earliest possible
+  /// crossing, and the least path latency from its own deliveries.
+  void price_horizons(std::uint32_t first, std::uint32_t last);
   /// The channel `e` crosses on — a delivery to the channel's proxy on a
   /// hidden (split-net) port — or kNoChannel.
   [[nodiscard]] std::uint32_t crossing_channel(const Event& e) const;
@@ -152,6 +158,12 @@ class ConservativeEngine {
   std::vector<std::uint32_t> proxy_channel_;
   std::vector<PortIndex> proxy_rx_;
   std::vector<VirtualTime> grants_;  // price_grants() output, per channel
+  /// Each channel's reaction slack from the horizons, and whether the last
+  /// pricing used them; without horizons a grant carries the channel's
+  /// declared reaction_lookahead.
+  std::vector<VirtualTime> slack_;
+  bool horizon_priced_ = false;
+  HorizonGraph horizons_;
   /// set_horizon()'s value.  Zero until the first run: a declaration made
   /// before then asks for every promise.
   VirtualTime horizon_ = VirtualTime::zero();

@@ -43,6 +43,12 @@ void Topology::add_channel(const std::string& a, const std::string& b) {
   edges_.emplace_back(a, b);
 }
 
+std::size_t Topology::degree(const std::string& name) const {
+  std::size_t n = 0;
+  for (const auto& [a, b] : edges_) n += (a == name) + (b == name);
+  return n;
+}
+
 void Topology::validate() const {
   DisjointSets sets;
   std::set<std::pair<std::string, std::string>> seen;

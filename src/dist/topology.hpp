@@ -30,6 +30,11 @@ class Topology {
   void add_channel(const std::string& a, const std::string& b);
 
   [[nodiscard]] std::size_t subsystem_count() const { return nodes_.size(); }
+  [[nodiscard]] bool has_subsystem(const std::string& name) const {
+    return nodes_.contains(name);
+  }
+  /// Channels declared with `name` at one end.
+  [[nodiscard]] std::size_t degree(const std::string& name) const;
   [[nodiscard]] std::size_t channel_count() const { return edges_.size(); }
 
   /// Throws Error{kTopology} if the graph contains a cycle of length >= 3

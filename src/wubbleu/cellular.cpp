@@ -15,6 +15,17 @@ CellularAsic::CellularAsic(std::string name, TimingProfile downlink_timing,
   radio_rx_ = add_input("radio_rx");
   host_data_ = add_output("host_data");
   set_initial_runlevel(initial_level);
+  declare_horizons();
+}
+
+VirtualTime CellularAsic::quiet_until(PortIndex) const {
+  return VirtualTime::infinity();  // no timers: only input makes output
+}
+
+VirtualTime CellularAsic::min_latency(PortIndex in, PortIndex out) const {
+  const bool causes = (in == radio_rx_ && out == host_data_) ||
+                      (in == host_tx_ && out == radio_tx_);
+  return causes ? VirtualTime::zero() : VirtualTime::infinity();
 }
 
 void CellularAsic::on_receive(PortIndex port, const Value& value) {

@@ -36,6 +36,12 @@ class CellularAsic final : public Component {
   void on_receive(PortIndex port, const Value& value) override;
   [[nodiscard]] bool at_safe_point() const override;
 
+  /// Output horizons: host data only after radio input, the uplink only
+  /// after a host request.
+  [[nodiscard]] VirtualTime quiet_until(PortIndex out) const override;
+  [[nodiscard]] VirtualTime min_latency(PortIndex in,
+                                        PortIndex out) const override;
+
   void save_state(serial::OutArchive& ar) const override;
   void restore_state(serial::InArchive& ar) override;
 

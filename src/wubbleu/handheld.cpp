@@ -104,6 +104,15 @@ Ui::Ui(std::string name) : Component(std::move(name)) {
   // Completion is a notification: the UI may be ahead in virtual time
   // (already echoing the next URL's strokes) when it arrives.
   done_ = add_input("done", PortSync::kAsynchronous);
+  declare_horizons();
+}
+
+VirtualTime Ui::quiet_until(PortIndex) const {
+  return VirtualTime::infinity();  // no timers: only input makes a request
+}
+
+VirtualTime Ui::min_latency(PortIndex in, PortIndex) const {
+  return in == chars_ ? ticks(1000) : VirtualTime::infinity();
 }
 
 void Ui::on_receive(PortIndex port, const Value& value) {
@@ -184,6 +193,18 @@ HandheldCpu::HandheldCpu(std::string name, proc::ProcessorProfile profile,
     handle_nic_completion(irq, at);
   });
   done_ = add_output("done");
+  declare_horizons();
+}
+
+VirtualTime HandheldCpu::quiet_until(PortIndex) const {
+  return VirtualTime::infinity();  // no timers: only input makes output
+}
+
+VirtualTime HandheldCpu::min_latency(PortIndex in, PortIndex out) const {
+  if (in == request_) return out == tx_ ? VirtualTime::zero()
+                                        : VirtualTime::infinity();
+  if (out == tx_ && queued_urls_.empty()) return VirtualTime::infinity();
+  return VirtualTime::zero();
 }
 
 void HandheldCpu::on_data(PortIndex port, const Value& value) {

@@ -77,6 +77,12 @@ class Ui final : public Component {
 
   void on_receive(PortIndex port, const Value& value) override;
 
+  /// Output horizons: a request follows only a recognized '\n', 1,000
+  /// ticks later, and never a page-done notification.
+  [[nodiscard]] VirtualTime quiet_until(PortIndex out) const override;
+  [[nodiscard]] VirtualTime min_latency(PortIndex in,
+                                        PortIndex out) const override;
+
   void save_state(serial::OutArchive& ar) const override;
   void restore_state(serial::InArchive& ar) override;
 
@@ -103,6 +109,14 @@ class HandheldCpu final : public proc::SoftwareComponent {
               std::size_t memory_bytes = 512 * 1024);
 
   void on_data(PortIndex port, const Value& value) override;
+
+  /// Output horizons: tx follows a request, or a NIC completion while a
+  /// typed-ahead URL waits; with none queued a completion sends only done.
+  /// A request can queue a URL, and its own path to tx is no slower than
+  /// the one that opens.
+  [[nodiscard]] VirtualTime quiet_until(PortIndex out) const override;
+  [[nodiscard]] VirtualTime min_latency(PortIndex in,
+                                        PortIndex out) const override;
 
   void save_software_state(serial::OutArchive& ar) const override;
   void restore_software_state(serial::InArchive& ar) override;

@@ -22,6 +22,8 @@
 //   fuzz_cluster --adaptive [...]  # arm runtime mode renegotiation: an
 //                                  # aggressive cost watcher everywhere plus
 //                                  # one seed-derived forced flip
+//   fuzz_cluster --wubbleu [...]   # the paper's WubbleU split across a
+//                                  # channel: browse sessions vs build_local
 //
 // The --recovery arm checks the crash-recovery guarantee instead: each seed
 // additionally derives a crash point (channel, frame budget, endpoint) and
@@ -37,6 +39,14 @@
 // re-requested on the restarted cluster, so it has to defer through the
 // rejoin handshake; under --replicas only plain subsystems arm (proposals
 // into a ReplicaSet are refused "unsupported" and pin the channel fixed).
+//
+// The --wubbleu arm checks the paper's own system: each seed draws a browse
+// session (stroke period, page count, URL, page size, downlink runlevel and
+// whether the channel lookaheads are declared) and requires
+// build_distributed over loopback and over TCP to record exactly the page
+// loads build_local records.  Its Ui, HandheldCpu and CellularAsic declare
+// output horizons, so this is the oracle for the grants built from them;
+// short stroke periods type the next URL ahead of the network.
 //
 // Any failure prints the seed and the exact repro command, and exits 1.
 #include <algorithm>
@@ -55,6 +65,7 @@
 #include "base/rng.hpp"
 #include "dist_helpers.hpp"
 #include "wubbleu/scaleout.hpp"
+#include "wubbleu/system.hpp"
 
 namespace pia::dist {
 namespace {
@@ -552,6 +563,130 @@ bool run_scaleout_seed(std::uint64_t seed, bool verbose,
 }
 
 // ---------------------------------------------------------------------------
+// WubbleU arm
+// ---------------------------------------------------------------------------
+
+struct WubbleUCase {
+  wubbleu::WubbleUConfig config;
+  bool declared_lookahead = false;
+};
+
+WubbleUCase generate_wubbleu(std::uint64_t seed) {
+  Rng rng(seed ^ 0x3B0BB1E0C0FFEE11ULL);
+  WubbleUCase c;
+  wubbleu::WubbleUConfig& config = c.config;
+  config.page.seed = seed;
+  config.page.url = "http://pia/" + std::to_string(rng.below(1000)) + ".html";
+  config.page.target_bytes = 512 + rng.below(6 * 1024);
+  config.page.image_count = 1 + static_cast<std::uint32_t>(rng.below(3));
+  config.page.image_width = config.page.image_height = 32;
+  config.urls.assign(1 + rng.below(3), config.page.url);
+  // From typing the next URL while the page still loads to one character
+  // per page load.  The recognizer needs ~100 k ticks per stroke.
+  const std::int64_t kPeriods[] = {200'000, 500'000, 1'000'000, 7'000'000};
+  config.stroke_period = ticks(kPeriods[rng.below(4)]);
+  const RunLevel kDownlink[] = {runlevels::kTransaction, runlevels::kPacket,
+                                runlevels::kWord};
+  config.downlink_level = kDownlink[rng.below(3)];
+  c.declared_lookahead = rng.below(2) == 1;
+  return c;
+}
+
+std::string describe_wubbleu(const WubbleUCase& c) {
+  std::ostringstream os;
+  os << "pages=" << c.config.urls.size() << " url=" << c.config.page.url
+     << " bytes=" << c.config.page.target_bytes
+     << " images=" << c.config.page.image_count
+     << " stroke=" << c.config.stroke_period.ticks()
+     << " level=" << c.config.downlink_level.name
+     << " lookahead=" << (c.declared_lookahead ? "bench" : "none");
+  return os.str();
+}
+
+bool same_loads(const std::vector<wubbleu::Ui::PageLoad>& a,
+                const std::vector<wubbleu::Ui::PageLoad>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].url != b[i].url || a[i].requested_at != b[i].requested_at ||
+        a[i].completed_at != b[i].completed_at ||
+        a[i].body_bytes != b[i].body_bytes || a[i].images != b[i].images)
+      return false;
+  return true;
+}
+
+bool run_wubbleu_config(std::uint64_t seed, const WubbleUCase& c, Wire wire,
+                        const std::vector<wubbleu::Ui::PageLoad>& reference,
+                        bool verbose) {
+  const char* wire_name = wire == Wire::kTcp ? "tcp" : "loopback";
+  std::string failure;
+  try {
+    NodeCluster cluster;
+    Subsystem& handheld =
+        cluster.add_node("handheld-node").add_subsystem("handheld");
+    Subsystem& chip = cluster.add_node("chip-node").add_subsystem("chip");
+    const ChannelPair channels = cluster.connect_checked(
+        handheld, chip, ChannelMode::kConservative, wire);
+    const wubbleu::WubbleUHandles h =
+        wubbleu::build_distributed(handheld, chip, channels, c.config);
+    if (c.declared_lookahead) {
+      // bench_table1_wubbleu's declarations.
+      handheld.set_lookahead(channels.a, ticks(30'000));
+      handheld.set_reaction_lookahead(channels.a, ticks(30'000));
+      chip.set_lookahead(channels.b, ticks(100'000));
+      chip.set_reaction_lookahead(channels.b, ticks(100'000));
+    }
+    cluster.start_all();
+    for (const auto& [name, outcome] :
+         cluster.run_all(Subsystem::RunConfig{.stall_timeout = 20'000ms}))
+      if (outcome != Subsystem::RunOutcome::kQuiescent)
+        failure = "outcome[" + name + "] != quiescent";
+    if (failure.empty() && !same_loads(h.ui->loads(), reference))
+      failure = "page loads differ from build_local";
+    if (failure.empty() && h.cpu->image_pixel_errors() != 0)
+      failure = "image decode errors";
+  } catch (const std::exception& e) {
+    failure = std::string("threw: ") + e.what();
+  }
+  if (failure.empty()) {
+    if (verbose)
+      std::printf("  ok (wubbleu) wire=%s loads=%zu\n", wire_name,
+                  reference.size());
+    return true;
+  }
+  std::printf("FAIL seed=%llu (wubbleu) wire=%s: %s\n  case: %s\n"
+              "  reproduce: fuzz_cluster --wubbleu --seed=%llu\n",
+              static_cast<unsigned long long>(seed), wire_name,
+              failure.c_str(), describe_wubbleu(c).c_str(),
+              static_cast<unsigned long long>(seed));
+  return false;
+}
+
+bool run_wubbleu_seed(std::uint64_t seed, bool verbose) {
+  const WubbleUCase c = generate_wubbleu(seed);
+  if (verbose)
+    std::printf("seed=%llu %s (wubbleu)\n",
+                static_cast<unsigned long long>(seed),
+                describe_wubbleu(c).c_str());
+  Scheduler local("wubbleu");
+  const wubbleu::WubbleUHandles ref = wubbleu::build_local(local, c.config);
+  local.init();
+  local.run();
+  const std::vector<wubbleu::Ui::PageLoad> reference = ref.ui->loads();
+  if (reference.size() != c.config.urls.size() ||
+      ref.ui->completed() != reference.size()) {
+    std::printf("FAIL seed=%llu (wubbleu): the single-host oracle completed "
+                "%zu of %zu loads\n  case: %s\n",
+                static_cast<unsigned long long>(seed), ref.ui->completed(),
+                c.config.urls.size(), describe_wubbleu(c).c_str());
+    return false;
+  }
+  bool ok = true;
+  for (const Wire wire : {Wire::kLoopback, Wire::kTcp})
+    ok &= run_wubbleu_config(seed, c, wire, reference, verbose);
+  return ok;
+}
+
+// ---------------------------------------------------------------------------
 // Replication arm
 // ---------------------------------------------------------------------------
 //
@@ -796,6 +931,7 @@ int main(int argc, char** argv) {
   bool scaleout = false;
   bool replicas = false;
   bool adaptive = false;
+  bool wubbleu = false;
   std::size_t threads = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -821,12 +957,14 @@ int main(int argc, char** argv) {
       replicas = true;
     } else if (arg == "--adaptive") {
       adaptive = true;
+    } else if (arg == "--wubbleu") {
+      wubbleu = true;
     } else if (arg == "--verbose" || arg == "-v") {
       verbose = true;
     } else {
       std::fprintf(stderr,
                    "usage: fuzz_cluster [--recovery | --scaleout | "
-                   "--replicas] [--seed=S | "
+                   "--replicas | --wubbleu] [--seed=S | "
                    "--seeds=S1,S2,... | --runs=N [--start-seed=K]] "
                    "[--adaptive] [--threads=N] [--verbose]\n");
       return 2;
@@ -851,9 +989,13 @@ int main(int argc, char** argv) {
     // 2-ways, seed 2 draws K=3 (a kill leaves TWO live clones deduping),
     // seed 7 kills under station fan-in > 1; each seed runs both layouts
     // with and without the kill.
+    // WubbleU gating list: seeds 1-8 draw all three downlink runlevels,
+    // both lookahead settings, and (seed 5) a URL typed ahead while the
+    // previous page still loads.
     seeds = recovery   ? std::vector<std::uint64_t>{2, 9, 11}
             : scaleout ? std::vector<std::uint64_t>{1, 5, 12}
             : replicas ? std::vector<std::uint64_t>{1, 2, 7}
+            : wubbleu  ? std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8}
                        : std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6,
                                                     7, 8, 11, 13, 17, 23};
   }
@@ -866,6 +1008,7 @@ int main(int argc, char** argv) {
         : scaleout ? pia::dist::run_scaleout_seed(seed, verbose, threads)
         : replicas ? pia::dist::run_replicas_seed(seed, verbose, threads,
                                                   adaptive)
+        : wubbleu  ? pia::dist::run_wubbleu_seed(seed, verbose)
                    : pia::dist::run_seed(seed, verbose, threads, adaptive);
     if (!ok) ++failures;
     if (!verbose) {
@@ -890,6 +1033,10 @@ int main(int argc, char** argv) {
   else if (replicas)
     std::printf("all %zu seeds passed (K-replicated shards with seeded "
                 "member kills == unreplicated single-host, zero rollback)\n",
+                seeds.size());
+  else if (wubbleu)
+    std::printf("all %zu seeds passed (WubbleU over loopback and TCP == "
+                "build_local, bit-exact page loads)\n",
                 seeds.size());
   else
     std::printf("all %zu seeds passed (conservative == optimistic == "

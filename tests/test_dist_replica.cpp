@@ -364,27 +364,6 @@ TEST(ScaleoutReplica, TripleReplicaSurvivesKill) {
   EXPECT_EQ(cluster.replica_set(1).group().group_stats().promotions, 1u);
 }
 
-TEST(ScaleoutReplica, SelfTuningRetunesDownWhenLinksAreClean) {
-  wubbleu::ScaleoutSpec spec = replica_spec(3);
-  wubbleu::ScaleoutCluster cluster(spec);
-  ReplicaSet& set = cluster.replica_set(0);
-
-  EXPECT_THROW(set.set_target_availability(1.0), Error);
-  set.set_target_availability(0.999);
-  EXPECT_DOUBLE_EQ(set.target_availability(), 0.999);
-  // Clean links: the observed fault rate is zero, one replica suffices.
-  EXPECT_EQ(set.desired_replicas(), 1u);
-  set.retune();
-  EXPECT_EQ(set.live_members(), 1u);
-
-  // The retuned cluster still serves the full workload bit-exactly.
-  wubbleu::ScaleoutSpec plain = spec;
-  plain.shard_replicas = 1;
-  const wubbleu::ScaleoutResult oracle = run_single_host(plain);
-  cluster.run();
-  EXPECT_TRUE(cluster.result() == oracle);
-}
-
 // ---------------------------------------------------------------------------
 // Total replica loss: fall back onto the PR 3 snapshot ladder
 // ---------------------------------------------------------------------------
