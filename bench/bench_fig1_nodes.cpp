@@ -2,7 +2,7 @@
 //
 // The figure shows the framework's claim to fame: a set of nodes, each
 // hosting subsystems, joined by sockets.  This bench builds star topologies
-// of increasing size — one hub subsystem relaying traffic between N leaf
+// of increasing size — one hub subsystem taking the traffic of N leaf
 // subsystems, each on its own Pia node — and measures end-to-end delivery
 // and throughput, over in-process pipes and over real TCP sockets.
 #include <chrono>
@@ -25,8 +25,9 @@ struct StarResult {
   double seconds;
 };
 
-/// Each leaf produces `count` events into the hub; the hub relays each to a
-/// local sink (cross-subsystem fan-in over N channels).
+/// Each leaf produces `count` events into the hub, where every leaf's
+/// channel proxy drives the one `fanin` net into a local sink
+/// (cross-subsystem fan-in over N channels).
 StarResult run_star(std::size_t leaves, std::uint64_t count, Wire wire) {
   NodeCluster cluster;
   PiaNode& hub_node = cluster.add_node("hub-node");
@@ -49,10 +50,8 @@ StarResult run_star(std::size_t leaves, std::uint64_t count, Wire wire) {
     // Leaves produce autonomously and never react to bus traffic: declare
     // infinite reaction slack so the hub isn't grant-limited.
     leaf.set_reaction_lookahead(channels.b, VirtualTime::infinity());
-    // Hub-local net piece: a dedicated inbound net per leaf, all feeding
-    // the same sink via the shared fan-in net is not possible with one
-    // sink port, so each leaf's events land on the shared net through the
-    // channel component directly.
+    // The hub's piece of every leaf's split net is the shared `fanin` net:
+    // each channel proxy drives it directly, so one sink port takes all N.
     split_net(hub, channels.a, fan_in, leaf, channels.b, out);
     leaf_subsystems.push_back(&leaf);
   }

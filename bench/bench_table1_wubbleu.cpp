@@ -128,6 +128,8 @@ int main() {
   report.metric("local_packet_seconds", local_packet.seconds);
   report.metric("remote_word_seconds", remote_word.seconds);
   report.metric("remote_packet_seconds", remote_packet.seconds);
+  report.metric("local_word_events", local_word.events);
+  report.metric("local_packet_events", local_packet.events);
   report.metric("remote_word_events", remote_word.events);
   report.metric("remote_word_channel_msgs", remote_word.channel_msgs);
   report.metric("remote_packet_events", remote_packet.events);

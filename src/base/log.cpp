@@ -1,6 +1,5 @@
 #include "base/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,7 +8,7 @@
 namespace pia {
 namespace {
 
-std::atomic<LogLevel> g_level = [] {
+const LogLevel g_level = [] {
   if (const char* env = std::getenv("PIA_LOG")) {
     if (!std::strcmp(env, "trace")) return LogLevel::kTrace;
     if (!std::strcmp(env, "debug")) return LogLevel::kDebug;
@@ -37,9 +36,7 @@ std::mutex g_emit_mutex;
 
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
-bool log_enabled(LogLevel level) { return level >= g_level.load(); }
+bool log_enabled(LogLevel level) { return level >= g_level; }
 
 namespace detail {
 

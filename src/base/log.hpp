@@ -1,8 +1,9 @@
 // Minimal leveled logger.
 //
 // The framework logs sparingly (protocol traces at kTrace, lifecycle events
-// at kInfo).  Output goes to stderr; the level is settable globally and via
-// the PIA_LOG environment variable (trace|debug|info|warn|error|off).
+// at kInfo).  Output goes to stderr; the PIA_LOG environment variable
+// (trace|debug|info|warn|error|off, default warn) sets the level once, at
+// process start.
 #pragma once
 
 #include <sstream>
@@ -11,10 +12,6 @@
 namespace pia {
 
 enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
-
-/// Global log threshold; messages below it are discarded.
-void set_log_level(LogLevel level);
-[[nodiscard]] LogLevel log_level();
 
 /// True if a message at `level` would be emitted (used to skip formatting).
 [[nodiscard]] bool log_enabled(LogLevel level);

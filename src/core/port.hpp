@@ -27,9 +27,9 @@ enum class PortDir : std::uint8_t { kIn, kOut, kInOut };
 ///   timestamp is earlier than the component's local time is a consistency
 ///   violation (the component already computed past that instant).
 /// kAsynchronous: the port behaves like a polled latch / interrupt line; the
-///   value is accepted at the component's current local time.  Under the
-///   optimistic assumption the kernel can dynamically promote an
-///   asynchronous location to synchronous and rewind (see pia_proc memory).
+///   value is accepted at the component's current local time, never moving
+///   it backwards.  (The paper's optimistic rewind of §2.1.1 is not
+///   reproduced; see DESIGN.md §6.)
 enum class PortSync : std::uint8_t { kSynchronous, kAsynchronous };
 
 struct Port {

@@ -34,9 +34,4 @@ std::uint32_t ComponentRegistry::generation(
   return it == entries_.end() ? 0 : it->second.generation;
 }
 
-ComponentRegistry& ComponentRegistry::global() {
-  static ComponentRegistry registry;
-  return registry;
-}
-
 }  // namespace pia

@@ -38,9 +38,6 @@ class ComponentRegistry {
   /// How many times `type_name` has been (re)registered; 0 if never.
   [[nodiscard]] std::uint32_t generation(const std::string& type_name) const;
 
-  /// The process-wide registry used by the Chinook-style tools.
-  static ComponentRegistry& global();
-
  private:
   struct Entry {
     Factory factory;

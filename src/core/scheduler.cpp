@@ -141,13 +141,6 @@ NetId Scheduler::net_id(const std::string& net_name) const {
   return it->second;
 }
 
-std::vector<NetId> Scheduler::net_ids() const {
-  std::vector<NetId> out;
-  out.reserve(nets_.size());
-  for (std::uint32_t i = 0; i < nets_.size(); ++i) out.emplace_back(i);
-  return out;
-}
-
 void Scheduler::init() {
   PIA_REQUIRE(!initialized_, "scheduler '" + name_ + "' already initialized");
   initialized_ = true;
@@ -235,10 +228,9 @@ void Scheduler::dispatch(const Event& event) {
   const Port& p = target.port(event.port);
   if (p.sync == PortSync::kSynchronous && event.time < target.local_time()) {
     // The component already computed past this instant: a consistency
-    // violation (paper §2.1.1).  The handler typically restores a
-    // checkpoint and re-executes more conservatively.
+    // violation (paper §2.1.1).  An input that may see such a delivery is
+    // declared asynchronous instead.
     stats_.violations++;
-    if (violation_handler && violation_handler(event, target)) return;
     raise(ErrorKind::kConsistency,
           "synchronous delivery at " + event.time.str() + " to '" +
               target.name() + "' whose local time is " +

@@ -86,7 +86,6 @@ class Scheduler final : public ComponentContext {
   [[nodiscard]] Net& net(NetId id);
   [[nodiscard]] const Net& net(NetId id) const;
   [[nodiscard]] NetId net_id(const std::string& net_name) const;
-  [[nodiscard]] std::vector<NetId> net_ids() const;
 
   // --- lifecycle ------------------------------------------------------------
 
@@ -140,10 +139,6 @@ class Scheduler final : public ComponentContext {
   std::function<void(const Event&)> pre_dispatch_hook;
   /// Called with each event when it is scheduled (send/wake/inject).
   std::function<void(const Event&)> on_schedule_hook;
-  /// Called on a synchronous-port causality violation.  Return true if the
-  /// violation was handled (state restored / address re-marked); the
-  /// offending event is then *not* delivered here — the handler owns it.
-  std::function<bool(const Event&, Component&)> violation_handler;
   /// Called when inject() observes a straggler (event.time < now()).
   /// Return true if handled (rollback performed and event requeued by the
   /// handler).

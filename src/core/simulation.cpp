@@ -1,8 +1,5 @@
 #include "core/simulation.hpp"
 
-#include "base/error.hpp"
-#include "base/log.hpp"
-
 namespace pia {
 
 Simulation::Simulation(std::string name, CheckpointPolicy policy)
@@ -27,27 +24,6 @@ NetId Simulation::connect(Component& from, std::string_view out_port,
 void Simulation::load_run_control(const std::string& script) {
   for (Switchpoint& sp : parser_.parse(script))
     scheduler_.add_switchpoint(std::move(sp));
-}
-
-void Simulation::enable_optimistic_rewind(RewindCallback on_rewind) {
-  scheduler_.violation_handler = [this, on_rewind](const Event& event,
-                                                   Component& target) {
-    const auto snapshot = checkpoints_->latest_at_or_before(event.time);
-    if (!snapshot) return false;  // nothing to rewind to: hard error
-
-    PIA_INFO("optimistic violation: event at "
-             << event.time << " hit '" << target.name() << "' at local "
-             << target.local_time() << "; rewinding");
-    ++rewinds_;
-    // Let the model mark the offending location synchronous *before* the
-    // restore so re-execution takes the conservative path.
-    if (on_rewind) on_rewind(event, target);
-    checkpoints_->restore(*snapshot);
-    // The violating event still has to be delivered; it now arrives in the
-    // re-executed timeline.
-    scheduler_.inject(event);
-    return true;
-  };
 }
 
 }  // namespace pia

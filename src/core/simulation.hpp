@@ -1,10 +1,15 @@
 // Simulation: Pia on a single host (paper §2.1).
 //
 // The facade most users start from: one subsystem scheduler, a checkpoint
-// manager, the run-control loader and the optimistic-interrupt rewind
-// policy, assembled and wired together.  A Pia node with a single subsystem
-// "behaves very much like the single host version of Pia" — pia_dist builds
-// exactly on the pieces exposed here.
+// manager and the run-control loader, assembled and wired together.  A Pia
+// node with a single subsystem "behaves very much like the single host
+// version of Pia" — pia_dist builds exactly on the pieces exposed here.
+//
+// The paper's §2.1.1 optimistic interrupt handling (rewind to a checkpoint
+// when an interrupt lands in the past, re-execute with the address marked
+// synchronous) is not reproduced: an interrupt input is an asynchronous
+// port, accepted at the component's local time, and a late delivery to a
+// synchronous port raises kConsistency.
 #pragma once
 
 #include <memory>
@@ -36,8 +41,7 @@ class Simulation {
 
   /// Instantiate a registered component type by name (class-loader style).
   Component& create(const std::string& type_name, const std::string& instance,
-                    const ComponentRegistry& registry =
-                        ComponentRegistry::global());
+                    const ComponentRegistry& registry);
 
   NetId connect(Component& from, std::string_view out_port, Component& to,
                 std::string_view in_port,
@@ -54,30 +58,10 @@ class Simulation {
   /// Parses a run-control script and installs its switchpoints.
   void load_run_control(const std::string& script);
 
-  // --- optimistic interrupt handling (paper §2.1.1) --------------------------
-  //
-  // "the simulator can make the optimistic assumption and treat all memory
-  // as safe.  When the system detects a violation of this assumption it can
-  // dynamically mark the relevant addresses as synchronous, then rewind
-  // using Pia's checkpoint and restore facilities."
-  //
-  // enable_optimistic_rewind() installs a violation handler that (1) invokes
-  // the model's on_rewind callback — where it marks the offending location
-  // synchronous so re-execution is conservative — then (2) restores the most
-  // recent checkpoint at or before the violating event and (3) re-injects
-  // the event.
-
-  using RewindCallback =
-      std::function<void(const Event& violating, Component& target)>;
-
-  void enable_optimistic_rewind(RewindCallback on_rewind = nullptr);
-  [[nodiscard]] std::uint64_t rewinds() const { return rewinds_; }
-
  private:
   Scheduler scheduler_;
   std::unique_ptr<CheckpointManager> checkpoints_;
   RunControlParser parser_;
-  std::uint64_t rewinds_ = 0;
 };
 
 }  // namespace pia

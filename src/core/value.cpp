@@ -131,17 +131,6 @@ bool Value::operator==(const Value& other) const {
   return false;
 }
 
-std::size_t Value::modeled_bytes() const {
-  switch (kind_) {
-    case Kind::kVoid:
-    case Kind::kLogic:
-    case Kind::kToken: return 0;
-    case Kind::kWord: return 4;
-    case Kind::kPacket: return payload().size();
-  }
-  return 0;
-}
-
 std::string Value::str() const {
   switch (kind_) {
     case Kind::kVoid: return "void";

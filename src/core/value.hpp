@@ -71,11 +71,6 @@ class Value {
   [[nodiscard]] BytesView as_packet() const;
   [[nodiscard]] std::string_view as_token() const;
 
-  /// Payload size in modeled bytes — what a channel at this detail level
-  /// puts on the wire.  Logic = 0 (a single wire edge), Word = 4 (the paper
-  /// passes four-byte words), Packet = its length, Token = 0.
-  [[nodiscard]] std::size_t modeled_bytes() const;
-
   [[nodiscard]] std::string str() const;
 
   bool operator==(const Value& other) const;

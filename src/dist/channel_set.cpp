@@ -34,11 +34,6 @@ ChannelEndpoint& ChannelSet::at(ChannelId id) {
   return *channels_[id.value()];
 }
 
-const ChannelEndpoint& ChannelSet::at(ChannelId id) const {
-  PIA_REQUIRE(id.valid() && id.value() < channels_.size(), "bad channel id");
-  return *channels_[id.value()];
-}
-
 void ChannelSet::replace_link(ChannelId id, transport::LinkPtr link) {
   ChannelEndpoint& endpoint = at(id);
   endpoint.replace_link(std::move(link));

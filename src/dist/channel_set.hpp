@@ -49,7 +49,6 @@ class ChannelSet {
   void add(std::unique_ptr<ChannelEndpoint> endpoint);
 
   [[nodiscard]] ChannelEndpoint& at(ChannelId id);
-  [[nodiscard]] const ChannelEndpoint& at(ChannelId id) const;
   [[nodiscard]] ChannelEndpoint& operator[](std::size_t i) {
     return *channels_[i];
   }

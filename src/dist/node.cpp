@@ -25,13 +25,6 @@ Subsystem& PiaNode::add_subsystem(const std::string& subsystem_name) {
   return *subsystems_.back();
 }
 
-Subsystem& PiaNode::subsystem(const std::string& subsystem_name) {
-  for (auto& s : subsystems_)
-    if (s->name() == subsystem_name) return *s;
-  raise(ErrorKind::kNotFound,
-        "node '" + name_ + "' has no subsystem '" + subsystem_name + "'");
-}
-
 std::vector<Subsystem*> PiaNode::subsystems() {
   std::vector<Subsystem*> out;
   out.reserve(subsystems_.size());

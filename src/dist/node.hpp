@@ -36,7 +36,6 @@ class PiaNode {
   /// Creates a subsystem hosted on this node.
   Subsystem& add_subsystem(const std::string& subsystem_name);
 
-  [[nodiscard]] Subsystem& subsystem(const std::string& subsystem_name);
   [[nodiscard]] std::vector<Subsystem*> subsystems();
 
   /// start() every subsystem (after wiring and channel setup).

@@ -457,9 +457,6 @@ ReplicaSet::Channel ReplicaSet::connect(
   group_->set_death_callback(
       [this](std::size_t m) { members_.at(m)->set_retired(); });
   channel.peer = peer.add_channel(channel_name, mode, std::move(group));
-  peer_ = &peer;
-  mode_ = mode;
-  channel_ = channel;
   return channel;
 }
 
@@ -483,27 +480,6 @@ ReplicaLinkGroup& ReplicaSet::group() {
 
 std::size_t ReplicaSet::live_members() const {
   return group_ == nullptr ? members_.size() : group_->live_count();
-}
-
-ChannelId ReplicaSet::attach_member(std::size_t member, Subsystem& fresh,
-                                    Wire wire,
-                                    transport::LatencyModel latency) {
-  PIA_REQUIRE(group_ != nullptr, "attach before connect");
-  PIA_REQUIRE(!group_->member_live(member),
-              "attach over a live member of '" + name_ + "'");
-  fresh.set_replica_member(true);
-  require_anti_affine(fresh, members_, peer_, name_);
-  transport::LinkPair pair =
-      decorate_pair(make_wire_pair(wire), latency, {});
-  group_->reattach_member(member, std::move(pair.a));
-  auto tagged = std::make_unique<ReplicaTagLink>(
-      std::move(pair.b), static_cast<std::uint32_t>(member),
-      group_->member_epoch(member));
-  const ChannelId id = fresh.add_channel(peer_->name() + "<->" + name_, mode_,
-                                         std::move(tagged));
-  members_.at(member) = &fresh;
-  channel_.members.at(member) = id;
-  return id;
 }
 
 ReplicaSet::Channel connect_replicated_checked(

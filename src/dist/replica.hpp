@@ -329,21 +329,10 @@ class ReplicaSet {
 
   [[nodiscard]] std::size_t live_members() const;
 
-  /// Re-attaches a fresh clone on a dead/retired member's slot with a
-  /// bumped epoch.  Only valid at a drained barrier, with `fresh` primed to
-  /// the set's current logical state (e.g. restored from a sibling's
-  /// snapshot image).  Returns the fresh member's channel id.
-  ChannelId attach_member(std::size_t member, Subsystem& fresh,
-                          Wire wire = Wire::kLoopback,
-                          transport::LatencyModel latency = {});
-
  private:
   std::string name_;
   std::vector<Subsystem*> members_;
   ReplicaLinkGroup* group_ = nullptr;  // owned by the peer's endpoint
-  Subsystem* peer_ = nullptr;
-  ChannelMode mode_ = ChannelMode::kConservative;
-  Channel channel_;
 };
 
 class NodeCluster;

@@ -283,11 +283,6 @@ void Subsystem::verify_burst() const {
               (tails_covered ? "" : ", an unconfirmed tail missed"));
 }
 
-bool Subsystem::quiescent() const {
-  if (conservative_.terminated()) return true;
-  return channels_.empty() && scheduler_.idle();
-}
-
 std::optional<Subsystem::RunOutcome> Subsystem::run_slice(
     const RunConfig& config, bool& progressed) {
   PIA_REQUIRE(started_, "run_slice() before start() on " + name_);

@@ -296,10 +296,6 @@ class Subsystem : private sync::EngineContext {
     return retired_.load(std::memory_order_relaxed);
   }
 
-  /// True when this subsystem is locally idle and every peer reported an
-  /// idle status with matched message counters (nothing in flight).
-  [[nodiscard]] bool quiescent() const;
-
   /// Per-subsystem contribution to GVT: min(next event, unacknowledged
   /// optimistic sends).  A global GVT is the min over all subsystems, taken
   /// when no messages are in flight (see NodeCluster::compute_gvt).

@@ -35,8 +35,6 @@ class DisjointSets {
 
 }  // namespace
 
-void Topology::add_subsystem(const std::string& name) { nodes_.insert(name); }
-
 void Topology::add_channel(const std::string& a, const std::string& b) {
   nodes_.insert(a);
   nodes_.insert(b);

@@ -23,9 +23,6 @@ namespace pia::dist {
 
 class Topology {
  public:
-  /// Declares a subsystem node; idempotent.
-  void add_subsystem(const std::string& name);
-
   /// Declares a (bidirectional) channel between two subsystems.
   void add_channel(const std::string& a, const std::string& b);
 

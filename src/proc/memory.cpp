@@ -3,56 +3,19 @@
 #include "base/error.hpp"
 
 namespace pia::proc {
+namespace {
+
+// Version 1 images carried synchronous-address marks and read times after
+// the bytes; restoring one would misread them as the next section.
+constexpr std::uint32_t kImageVersion = 2;
+
+}  // namespace
 
 Memory::Memory(std::size_t size_bytes) : data_(size_bytes, 0) {
   PIA_REQUIRE(size_bytes > 0, "zero-size memory");
 }
 
-void Memory::check(std::uint32_t addr) const {
-  PIA_REQUIRE(addr < data_.size(), "memory access out of range: addr " +
-                                       std::to_string(addr) + " size " +
-                                       std::to_string(data_.size()));
-}
-
-void Memory::mark_synchronous(std::uint32_t addr) {
-  check(addr);
-  synchronous_.insert(addr);
-}
-
-void Memory::mark_synchronous_range(std::uint32_t begin, std::uint32_t end) {
-  for (std::uint32_t a = begin; a < end; ++a) mark_synchronous(a);
-}
-
-bool Memory::is_synchronous(std::uint32_t addr) const {
-  return synchronous_.contains(addr);
-}
-
-std::uint8_t Memory::read(std::uint32_t addr, VirtualTime at) {
-  check(addr);
-  auto [it, fresh] = last_read_.emplace(addr, at);
-  if (!fresh) it->second = max(it->second, at);
-  return data_[addr];
-}
-
-void Memory::write(std::uint32_t addr, std::uint8_t value, VirtualTime) {
-  check(addr);
-  data_[addr] = value;
-}
-
-std::uint32_t Memory::read_u32(std::uint32_t addr, VirtualTime at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(read(addr + i, at)) << (8 * i);
-  return v;
-}
-
-void Memory::write_u32(std::uint32_t addr, std::uint32_t value,
-                       VirtualTime at) {
-  for (int i = 0; i < 4; ++i)
-    write(addr + i, static_cast<std::uint8_t>(value >> (8 * i)), at);
-}
-
-void Memory::dma_write(std::uint32_t addr, BytesView bytes, VirtualTime) {
+void Memory::dma_write(std::uint32_t addr, BytesView bytes) {
   PIA_REQUIRE(addr + bytes.size() <= data_.size(), "DMA burst out of range");
   for (std::size_t i = 0; i < bytes.size(); ++i)
     data_[addr + i] = static_cast<std::uint8_t>(bytes[i]);
@@ -66,58 +29,21 @@ Bytes Memory::dma_read(std::uint32_t addr, std::size_t len) const {
   return out;
 }
 
-void Memory::interrupt_write(std::uint32_t addr, std::uint8_t value,
-                             VirtualTime handler_time) {
-  check(addr);
-  const auto it = last_read_.find(addr);
-  if (!is_synchronous(addr) && it != last_read_.end() &&
-      it->second > handler_time) {
-    // The mainline already read this location at a time after the
-    // handler's logical instant: it computed with a stale value.
-    ++conflicts_;
-    if (on_conflict_) {
-      on_conflict_(addr, it->second, handler_time);
-      return;  // the handler rewinds; this write replays conservatively
-    }
-    raise(ErrorKind::kConsistency,
-          "optimistic-memory violation at addr " + std::to_string(addr) +
-              ": read at " + it->second.str() + ", interrupt write at " +
-              handler_time.str());
-  }
-  data_[addr] = value;
-}
-
 void Memory::save(serial::OutArchive& ar) const {
-  serial::begin_section(ar, "pia.memory", 1);
+  serial::begin_section(ar, "pia.memory", kImageVersion);
   ar.put_bytes(BytesView{reinterpret_cast<const std::byte*>(data_.data()),
                          data_.size()});
-  ar.put_varint(synchronous_.size());
-  for (std::uint32_t a : synchronous_) ar.put_varint(a);
-  ar.put_varint(last_read_.size());
-  for (const auto& [addr, t] : last_read_) {
-    ar.put_varint(addr);
-    serial::write(ar, t);
-  }
 }
 
 void Memory::restore(serial::InArchive& ar) {
-  serial::expect_section(ar, "pia.memory");
+  const std::uint32_t version = serial::expect_section(ar, "pia.memory");
+  if (version != kImageVersion)
+    raise(ErrorKind::kSerialization,
+          "unsupported memory image version " + std::to_string(version));
   const Bytes bytes = ar.get_bytes();
   PIA_REQUIRE(bytes.size() == data_.size(), "memory image size mismatch");
   for (std::size_t i = 0; i < bytes.size(); ++i)
     data_[i] = static_cast<std::uint8_t>(bytes[i]);
-  // Synchronous marks survive the restore on purpose: the rewind exists so
-  // that re-execution sees the newly marked address and behaves
-  // conservatively.
-  const std::uint64_t sync_count = ar.get_varint();
-  for (std::uint64_t i = 0; i < sync_count; ++i)
-    synchronous_.insert(static_cast<std::uint32_t>(ar.get_varint()));
-  last_read_.clear();
-  const std::uint64_t read_count = ar.get_varint();
-  for (std::uint64_t i = 0; i < read_count; ++i) {
-    const auto addr = static_cast<std::uint32_t>(ar.get_varint());
-    last_read_.emplace(addr, serial::read<VirtualTime>(ar));
-  }
 }
 
 }  // namespace pia::proc

@@ -1,27 +1,16 @@
-// Processor memory with synchronous-address marking (paper §2.1.1).
+// Processor memory that a DMA engine bursts into (paper §4, Fig. 6).
 //
-// Interrupt handlers and mainline code share memory.  If we can statically
-// determine which addresses interrupt handlers touch, we mark them
-// *synchronous*: accessing one forces the component to be time-consistent.
-// If not, "the simulator can make the optimistic assumption and treat all
-// memory as safe.  When the system detects a violation of this assumption
-// it can dynamically mark the relevant addresses as synchronous, then
-// rewind using Pia's checkpoint and restore facilities."
-//
-// Detection: every read records its (virtual) time.  When an interrupt-
-// context write lands at a handler time earlier than a later mainline read
-// that already happened, the mainline computed with a stale value — a
-// conflict.  The memory reports it; the owning component rewinds and the
-// re-execution, seeing the address marked synchronous, waits.
+// WubbleU's NicDma lands each reassembled HTTP response in the handheld
+// CPU's memory as one burst at a fixed buffer base, then raises a
+// completion interrupt; the CPU's handler copies the bytes back out.  The
+// burst is atomic at the engine's local time, and the interrupt is what
+// orders it against the CPU, so the memory itself keeps no timing.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "base/time.hpp"
+#include "base/bytes.hpp"
 #include "serial/archive.hpp"
 
 namespace pia::proc {
@@ -30,60 +19,16 @@ class Memory {
  public:
   explicit Memory(std::size_t size_bytes);
 
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-
-  /// Conflict callback: (address, stale read time, interrupt write time).
-  using ConflictFn =
-      std::function<void(std::uint32_t addr, VirtualTime read_at,
-                         VirtualTime write_at)>;
-  void set_conflict_handler(ConflictFn fn) { on_conflict_ = std::move(fn); }
-
-  // --- static marking (when handler footprints are known) -------------------
-
-  void mark_synchronous(std::uint32_t addr);
-  void mark_synchronous_range(std::uint32_t begin, std::uint32_t end);
-  [[nodiscard]] bool is_synchronous(std::uint32_t addr) const;
-  [[nodiscard]] std::size_t synchronous_count() const {
-    return synchronous_.size();
-  }
-
-  // --- mainline access --------------------------------------------------------
-
-  std::uint8_t read(std::uint32_t addr, VirtualTime at);
-  void write(std::uint32_t addr, std::uint8_t value, VirtualTime at);
-  std::uint32_t read_u32(std::uint32_t addr, VirtualTime at);
-  void write_u32(std::uint32_t addr, std::uint32_t value, VirtualTime at);
-
-  /// Bulk write without conflict tracking (DMA bursts land atomically at
-  /// `at`; the completion interrupt is what synchronizes the CPU).
-  void dma_write(std::uint32_t addr, BytesView data, VirtualTime at);
+  /// Bulk access; a range past the end raises Error.
+  void dma_write(std::uint32_t addr, BytesView data);
   [[nodiscard]] Bytes dma_read(std::uint32_t addr, std::size_t len) const;
 
-  // --- interrupt-context access -------------------------------------------------
-
-  /// A write performed by an interrupt handler that logically ran at
-  /// `handler_time` (possibly before the mainline's current local time).
-  /// Detects the optimistic-assumption violation described above.
-  void interrupt_write(std::uint32_t addr, std::uint8_t value,
-                       VirtualTime handler_time);
-
-  // --- checkpointing ---------------------------------------------------------------
-
   void save(serial::OutArchive& ar) const;
+  /// Raises kSerialization on an image of another section version.
   void restore(serial::InArchive& ar);
 
-  [[nodiscard]] std::uint64_t conflicts_detected() const {
-    return conflicts_;
-  }
-
  private:
-  void check(std::uint32_t addr) const;
-
   std::vector<std::uint8_t> data_;
-  std::unordered_set<std::uint32_t> synchronous_;
-  std::unordered_map<std::uint32_t, VirtualTime> last_read_;
-  ConflictFn on_conflict_;
-  std::uint64_t conflicts_ = 0;
 };
 
 }  // namespace pia::proc

@@ -3,11 +3,8 @@
 namespace pia::proc {
 
 SoftwareComponent::SoftwareComponent(std::string name,
-                                     ProcessorProfile profile,
-                                     std::size_t memory_bytes)
-    : Component(std::move(name)),
-      timer_(std::move(profile)),
-      memory_(std::make_unique<Memory>(memory_bytes)) {}
+                                     ProcessorProfile profile)
+    : Component(std::move(name)), timer_(std::move(profile)) {}
 
 PortIndex SoftwareComponent::add_irq_input(std::string port_name,
                                            IrqHandler handler) {
@@ -37,18 +34,6 @@ void SoftwareComponent::exec(std::uint64_t alu, std::uint64_t loads,
 void SoftwareComponent::exec_cycles(std::uint64_t cycles) {
   timer_.cycles(cycles);
   advance(timer_.take());
-}
-
-void SoftwareComponent::save_state(serial::OutArchive& ar) const {
-  memory_->save(ar);
-  ar.put_varint(timer_.total_cycles());
-  save_software_state(ar);
-}
-
-void SoftwareComponent::restore_state(serial::InArchive& ar) {
-  memory_->restore(ar);
-  ar.get_varint();  // total cycles: informational, not replayed
-  restore_software_state(ar);
 }
 
 }  // namespace pia::proc

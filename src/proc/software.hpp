@@ -3,28 +3,24 @@
 //
 // The behaviour IS the program — C++ code in the subclass's handlers, with
 // basic-block timing estimates embedded at the points a compiler-assisted
-// estimator would place them.  The component owns its processor profile,
-// basic-block timer and memory; interrupt inputs are asynchronous ports
-// whose handlers run at the interrupt's logical instant (delivery_time()),
-// with the optimistic shared-memory discipline of proc/memory.hpp.
+// estimator would place them.  The component owns its processor profile and
+// basic-block timer; interrupt inputs are asynchronous ports whose handlers
+// run at the interrupt's logical instant (delivery_time()).  A subclass
+// that a DMA engine writes into owns its proc::Memory itself.
 #pragma once
 
 #include <functional>
-#include <memory>
 
 #include "core/component.hpp"
-#include "proc/memory.hpp"
 #include "proc/timing.hpp"
 
 namespace pia::proc {
 
 class SoftwareComponent : public Component {
  public:
-  SoftwareComponent(std::string name, ProcessorProfile profile,
-                    std::size_t memory_bytes = 64 * 1024);
+  SoftwareComponent(std::string name, ProcessorProfile profile);
 
   [[nodiscard]] BasicBlockTimer& timer() { return timer_; }
-  [[nodiscard]] Memory& memory() { return *memory_; }
   [[nodiscard]] const ProcessorProfile& profile() const {
     return timer_.profile();
   }
@@ -44,16 +40,6 @@ class SoftwareComponent : public Component {
   void on_receive(PortIndex port, const Value& value) override;
   virtual void on_data(PortIndex port, const Value& value) = 0;
 
-  // --- checkpointing -----------------------------------------------------------
-
-  void save_state(serial::OutArchive& ar) const final;
-  void restore_state(serial::InArchive& ar) final;
-  /// Subclass state hooks (memory + timer are handled by the base).
-  virtual void save_software_state(serial::OutArchive& ar) const {
-    (void)ar;
-  }
-  virtual void restore_software_state(serial::InArchive& ar) { (void)ar; }
-
  protected:
   // --- basic-block timing estimates (embedded in the "source code") ----------
 
@@ -66,7 +52,6 @@ class SoftwareComponent : public Component {
 
  private:
   BasicBlockTimer timer_;
-  std::unique_ptr<Memory> memory_;
   std::vector<std::pair<PortIndex, IrqHandler>> irq_handlers_;
 };
 

@@ -2,18 +2,6 @@
 
 namespace pia::proc {
 
-std::uint32_t ProcessorProfile::cycles_for(OpClass op) const {
-  switch (op) {
-    case OpClass::kAlu: return alu_cycles;
-    case OpClass::kLoad: return load_cycles;
-    case OpClass::kStore: return store_cycles;
-    case OpClass::kBranch: return branch_cycles;
-    case OpClass::kMul: return mul_cycles;
-    case OpClass::kDiv: return div_cycles;
-  }
-  return 1;
-}
-
 VirtualTime ProcessorProfile::time_for_cycles(std::uint64_t cycles) const {
   // ticks are nanoseconds: t = cycles * 1e9 / clock_hz, rounded up so a
   // nonzero block always consumes time.

@@ -19,28 +19,17 @@
 
 namespace pia::proc {
 
-/// Instruction classes a basic-block estimator distinguishes.
-enum class OpClass : std::uint8_t {
-  kAlu,      // integer arithmetic / logic
-  kLoad,     // memory read
-  kStore,    // memory write
-  kBranch,   // control transfer
-  kMul,      // multiply
-  kDiv,      // divide
-};
-
 struct ProcessorProfile {
   std::string name = "generic";
   std::uint64_t clock_hz = 100'000'000;  // 100 MHz default
-  // Cycles per instruction, per class.
+  // Cycles per instruction, per class a basic-block estimator
+  // distinguishes.
   std::uint32_t alu_cycles = 1;
   std::uint32_t load_cycles = 2;
   std::uint32_t store_cycles = 2;
   std::uint32_t branch_cycles = 2;
   std::uint32_t mul_cycles = 4;
   std::uint32_t div_cycles = 20;
-
-  [[nodiscard]] std::uint32_t cycles_for(OpClass op) const;
 
   /// Converts a cycle count to virtual time (ticks are nanoseconds).
   [[nodiscard]] VirtualTime time_for_cycles(std::uint64_t cycles) const;

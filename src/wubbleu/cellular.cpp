@@ -103,7 +103,7 @@ void NicDma::on_receive(PortIndex port, const Value& value) {
   const std::uint64_t cycles =
       (complete->size() + bytes_per_cycle_ - 1) / bytes_per_cycle_;
   advance(VirtualTime{static_cast<VirtualTime::rep>(cycles) * 10});
-  memory_.dma_write(buffer_base_, *complete, local_time());
+  memory_.dma_write(buffer_base_, *complete);
   ++transfers_;
   send(irq_, Value{(static_cast<std::uint64_t>(buffer_base_) << 24) |
                    static_cast<std::uint64_t>(complete->size())});

@@ -2,6 +2,7 @@
 
 #include "base/error.hpp"
 #include "serial/archive.hpp"
+#include "wubbleu/cellular.hpp"
 #include "wubbleu/jpeg.hpp"
 
 namespace pia::wubbleu {
@@ -55,7 +56,10 @@ void StrokeSource::restore_state(serial::InArchive& ar) {
 
 Recognizer::Recognizer(std::string name, proc::ProcessorProfile profile)
     : SoftwareComponent(std::move(name), std::move(profile)) {
-  strokes_ = add_input("strokes");
+  // The digitizer queues strokes: one can arrive while the classifier,
+  // ahead in virtual time, is still on the previous one, and is taken when
+  // it is free.
+  strokes_ = add_input("strokes", PortSync::kAsynchronous);
   chars_ = add_output("chars");
 }
 
@@ -69,11 +73,11 @@ void Recognizer::on_data(PortIndex port, const Value& value) {
                    static_cast<unsigned char>(result.character))});
 }
 
-void Recognizer::save_software_state(serial::OutArchive& ar) const {
+void Recognizer::save_state(serial::OutArchive& ar) const {
   ar.put_varint(classified_);
 }
 
-void Recognizer::restore_software_state(serial::InArchive& ar) {
+void Recognizer::restore_state(serial::InArchive& ar) {
   classified_ = ar.get_varint();
 }
 
@@ -183,7 +187,8 @@ void Ui::restore_state(serial::InArchive& ar) {
 
 HandheldCpu::HandheldCpu(std::string name, proc::ProcessorProfile profile,
                          std::size_t memory_bytes)
-    : SoftwareComponent(std::move(name), std::move(profile), memory_bytes) {
+    : SoftwareComponent(std::move(name), std::move(profile)),
+      memory_(memory_bytes) {
   // A typed-ahead URL is an interrupt to the browser task: it can arrive
   // while the CPU, ahead in virtual time, is still decoding the previous
   // page, and is taken when the task is free (queued_urls_).
@@ -226,13 +231,11 @@ void HandheldCpu::issue_request(const std::string& url) {
 
 void HandheldCpu::handle_nic_completion(const Value& irq, VirtualTime) {
   // The NIC reassembled a whole response into our memory; read it out.
-  const std::uint64_t word = irq.as_word();
-  const auto addr = static_cast<std::uint32_t>(word >> 24);
-  const auto length = static_cast<std::uint32_t>(word & 0xFFFFFF);
+  const auto [addr, length] = NicDma::decode_completion(irq);
 
   // Copy-out cost: one load+store per word.
   exec(/*alu=*/length / 8, /*loads=*/length / 4, /*stores=*/length / 4);
-  const Bytes raw = memory().dma_read(addr, length);
+  const Bytes raw = memory_.dma_read(addr, length);
   const HttpResponse response = decode_response(raw);
 
   PIA_REQUIRE(inflight_url_.has_value(),
@@ -266,7 +269,8 @@ void HandheldCpu::handle_nic_completion(const Value& irq, VirtualTime) {
   }
 }
 
-void HandheldCpu::save_software_state(serial::OutArchive& ar) const {
+void HandheldCpu::save_state(serial::OutArchive& ar) const {
+  memory_.save(ar);
   serial::write(ar, std::optional<std::string>(inflight_url_));
   serial::write(ar, queued_urls_);
   ar.put_varint(pages_loaded_);
@@ -274,7 +278,8 @@ void HandheldCpu::save_software_state(serial::OutArchive& ar) const {
   ar.put_varint(image_pixel_errors_);
 }
 
-void HandheldCpu::restore_software_state(serial::InArchive& ar) {
+void HandheldCpu::restore_state(serial::InArchive& ar) {
+  memory_.restore(ar);
   inflight_url_ = serial::read_optional<std::string>(ar);
   queued_urls_ = serial::read_vector<std::string>(ar);
   pages_loaded_ = ar.get_varint();

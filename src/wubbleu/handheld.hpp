@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/component.hpp"
+#include "proc/memory.hpp"
 #include "proc/software.hpp"
 #include "wubbleu/handwriting.hpp"
 #include "wubbleu/http.hpp"
@@ -51,8 +52,8 @@ class Recognizer final : public proc::SoftwareComponent {
 
   [[nodiscard]] std::uint64_t classified() const { return classified_; }
 
-  void save_software_state(serial::OutArchive& ar) const override;
-  void restore_software_state(serial::InArchive& ar) override;
+  void save_state(serial::OutArchive& ar) const override;
+  void restore_state(serial::InArchive& ar) override;
 
  private:
   HandwritingClassifier classifier_;
@@ -110,6 +111,10 @@ class HandheldCpu final : public proc::SoftwareComponent {
 
   void on_data(PortIndex port, const Value& value) override;
 
+  /// The CPU's memory, which the NIC bursts responses into at
+  /// kDmaBufferBase.
+  [[nodiscard]] proc::Memory& memory() { return memory_; }
+
   /// Output horizons: tx follows a request, or a NIC completion while a
   /// typed-ahead URL waits; with none queued a completion sends only done.
   /// A request can queue a URL, and its own path to tx is no slower than
@@ -118,8 +123,8 @@ class HandheldCpu final : public proc::SoftwareComponent {
   [[nodiscard]] VirtualTime min_latency(PortIndex in,
                                         PortIndex out) const override;
 
-  void save_software_state(serial::OutArchive& ar) const override;
-  void restore_software_state(serial::InArchive& ar) override;
+  void save_state(serial::OutArchive& ar) const override;
+  void restore_state(serial::InArchive& ar) override;
 
   [[nodiscard]] std::uint64_t pages_loaded() const { return pages_loaded_; }
   [[nodiscard]] std::uint64_t images_decoded() const {
@@ -133,6 +138,7 @@ class HandheldCpu final : public proc::SoftwareComponent {
   void handle_nic_completion(const Value& irq, VirtualTime at);
   void issue_request(const std::string& url);
 
+  proc::Memory memory_;
   std::optional<std::string> inflight_url_;
   std::vector<std::string> queued_urls_;  // user typed ahead of the network
   std::uint64_t pages_loaded_ = 0;

@@ -69,11 +69,11 @@ void WebGateway::on_data(PortIndex port, const Value& value) {
   send(tx_, Value{encode_response(page)});
 }
 
-void WebGateway::save_software_state(serial::OutArchive& ar) const {
+void WebGateway::save_state(serial::OutArchive& ar) const {
   ar.put_varint(served_);
 }
 
-void WebGateway::restore_software_state(serial::InArchive& ar) {
+void WebGateway::restore_state(serial::InArchive& ar) {
   served_ = ar.get_varint();
 }
 

@@ -47,8 +47,8 @@ class WebGateway final : public proc::SoftwareComponent {
 
   void on_data(PortIndex port, const Value& value) override;
 
-  void save_software_state(serial::OutArchive& ar) const override;
-  void restore_software_state(serial::InArchive& ar) override;
+  void save_state(serial::OutArchive& ar) const override;
+  void restore_state(serial::InArchive& ar) override;
 
   [[nodiscard]] std::uint64_t requests_served() const { return served_; }
   [[nodiscard]] const PageStore& store() const { return store_; }

@@ -5,7 +5,9 @@
 
 A record with one changed `*_events` count must exit 1 and name the key; the
 committed record against itself, and a record whose only changes are times,
-must exit 0.  On a scale-out sweep record the `events_*` cells gate too: a
+must exit 0.  A count only the new record holds is printed as NEW and
+passes; a count only the committed record holds fails unless --subset is
+given.  On a scale-out sweep record the `events_*` cells gate too: a
 capped run (only the N <= 100 cells) passes with --subset and fails without
 it, and a changed cell fails either way.
 """
@@ -93,6 +95,19 @@ def main():
         code, out = run(missing, COMMITTED)
         if code != 1 or "FAIL remote_packet_channel_msgs" not in out:
             failures.append(f"missing count: exit {code}, expected 1\n{out}")
+
+        with open(COMMITTED) as f:
+            gained = json.load(f)
+        gained["local_word_events"] = 17096
+        path = write(tmp, "gained.json", gained)
+        code, out = run(path, COMMITTED)
+        if code != 0 or "NEW  local_word_events: 17096" not in out:
+            failures.append(f"new-only count: exit {code}, expected 0\n{out}")
+
+        code, out = run(missing, COMMITTED, "--subset")
+        if code != 0 or "remote_packet_channel_msgs" in out:
+            failures.append(
+                f"committed-only count, --subset: exit {code}, expected 0\n{out}")
 
         check_sweep(tmp, failures)
 

@@ -581,10 +581,12 @@ WubbleUCase generate_wubbleu(std::uint64_t seed) {
   config.page.image_count = 1 + static_cast<std::uint32_t>(rng.below(3));
   config.page.image_width = config.page.image_height = 32;
   config.urls.assign(1 + rng.below(3), config.page.url);
-  // From typing the next URL while the page still loads to one character
-  // per page load.  The recognizer needs ~100 k ticks per stroke.
-  const std::int64_t kPeriods[] = {200'000, 500'000, 1'000'000, 7'000'000};
-  config.stroke_period = ticks(kPeriods[rng.below(4)]);
+  // From strokes faster than the recognizer classifies them (~100 k ticks
+  // each; it queues them) and typing the next URL while the page still
+  // loads, to one character per page load.
+  const std::int64_t kPeriods[] = {20'000, 200'000, 500'000, 1'000'000,
+                                   7'000'000};
+  config.stroke_period = ticks(kPeriods[rng.below(5)]);
   const RunLevel kDownlink[] = {runlevels::kTransaction, runlevels::kPacket,
                                 runlevels::kWord};
   config.downlink_level = kDownlink[rng.below(3)];

@@ -295,6 +295,30 @@ TEST(WubbleULocal, TypeAheadSessionAtDefaultPeriodCompletes) {
   EXPECT_EQ(h.cpu->image_pixel_errors(), 0u);
 }
 
+// A stylus faster than the recognizer: at 20 k ticks per character the
+// next stroke arrives while the classifier (~97 k ticks a stroke on the
+// 33 MHz core) is still busy.  The recognizer queues strokes, so the
+// session loads the same pages, only later.  As a synchronous input it died
+// with "synchronous delivery at 40000 to 'recognizer'".
+TEST(WubbleULocal, StrokesFasterThanTheRecognizerQueue) {
+  auto session = [](VirtualTime stroke_period) {
+    WubbleUConfig config = small_config(runlevels::kPacket);
+    config.urls.assign(2, config.page.url);
+    config.stroke_period = stroke_period;
+    Scheduler sched("wubbleu");
+    const WubbleUHandles h = build_local(sched, config);
+    sched.init();
+    sched.run();
+    EXPECT_EQ(h.ui->completed(), 2u);
+    std::vector<std::string> urls;
+    for (const Ui::PageLoad& load : h.ui->loads()) urls.push_back(load.url);
+    return urls;
+  };
+  const std::vector<std::string> slow = session(ticks(200'000));
+  EXPECT_EQ(slow.size(), 2u);
+  EXPECT_EQ(session(ticks(20'000)), slow);
+}
+
 TEST(WubbleUDistributed, TypeAheadSessionMatchesLocalLoads) {
   WubbleUConfig config;
   config.page.target_bytes = 1024;

@@ -4,12 +4,15 @@
     python3 tools/bench_compare.py [--subset] NEW COMMITTED
 
 Exact counts gate: every `*_events` and `*_channel_msgs` key, and every
-`events_*` cell of a sweep record (BENCH_scaleout.json), must be present in
-both records with the same value, because the simulated work of a bench is
-deterministic and a changed count means the model or the protocol changed.
-With --subset, NEW may be a capped run that produces only some of the
-committed cells (bench_scaleout --max-n=100): a count key NEW lacks is
-skipped, not missing, but NEW must share at least one count with COMMITTED.
+`events_*` cell of a sweep record (BENCH_scaleout.json), that COMMITTED holds
+must be present in NEW with the same value, because the simulated work of a
+bench is deterministic and a changed count means the model or the protocol
+changed.  A count only NEW holds is one the bench has just started to
+record: it is printed as NEW and passes, so the change that adds it can
+refresh the record.  With --subset, NEW may be a capped run that produces
+only some of the committed cells (bench_scaleout --max-n=100): a count key
+NEW lacks is skipped, not missing, but NEW must share at least one count
+with COMMITTED.
 Times do not gate: every `*_seconds` key is printed as NEW/COMMITTED with the
 direction that is better, for a reader to judge (shared CI runners are too
 noisy for a time threshold).
@@ -50,9 +53,10 @@ def compare(new, committed, subset=False):
     for key in sorted(k for k in set(new) | set(committed) if is_count(k)):
         if subset and key not in new:
             continue
-        if key not in new or key not in committed:
-            where = "new" if key not in new else "committed"
-            print(f"FAIL {key}: missing from the {where} record")
+        if key not in committed:
+            print(f"NEW  {key}: {new[key]} (not in the committed record)")
+        elif key not in new:
+            print(f"FAIL {key}: missing from the new record")
             mismatches += 1
         elif new[key] != committed[key]:
             print(f"FAIL {key}: {committed[key]} -> {new[key]} (exact count)")
