@@ -129,7 +129,22 @@ void ChannelEndpoint::send_message(const ChannelMessage& message) {
   // Counted at enqueue: a flush that fails mid-batch closes the channel, so
   // the counters stop mattering on the same path they could diverge on.
   if (!is_control_message(message)) ++msgs_sent;
-  if (flush_hold_ == 0 || batch_count_ >= batch_limit_) flush();
+  FlushGroup& hold = group();
+  if (hold.depth == 0 || batch_count_ >= batch_limit_) {
+    flush();
+  } else if (!listed_) {
+    listed_ = true;
+    hold.dirty.push_back(this);
+  }
+}
+
+void FlushGroup::release() {
+  if (depth == 0 || --depth > 0) return;
+  for (ChannelEndpoint* endpoint : dirty) {
+    endpoint->listed_ = false;
+    endpoint->flush();
+  }
+  dirty.clear();
 }
 
 void ChannelEndpoint::flush() {

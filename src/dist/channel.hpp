@@ -34,6 +34,22 @@ namespace pia::dist {
 
 enum class ChannelMode : std::uint8_t { kConservative, kOptimistic };
 
+class ChannelEndpoint;
+
+/// A flush hold shared by endpoints.  While `depth` > 0 every member holds
+/// its batch, and the first message a member batches lists it in `dirty`,
+/// so the outermost release flushes only the members that hold something.
+/// An endpoint is the one member of its own group until a ChannelSet makes
+/// it a member of the set's (FlushHold).
+struct FlushGroup {
+  std::uint32_t depth = 0;
+  std::vector<ChannelEndpoint*> dirty;
+
+  void hold() { ++depth; }
+  /// Ends a hold; nests.
+  void release();
+};
+
 class ChannelComponent final : public Component {
  public:
   /// Callback invoked when local traffic must cross the channel.
@@ -126,12 +142,15 @@ class ChannelEndpoint {
   /// one is sent in the bare single-message wire format.
   void flush();
 
-  /// Defer flushing until the matching release; nests.  The subsystem holds
-  /// across a scheduler burst so everything the slice emits shares a frame.
-  void hold_flush() { ++flush_hold_; }
-  void release_flush() {
-    if (flush_hold_ > 0 && --flush_hold_ == 0) flush();
-  }
+  /// Defer flushing until the matching release; nests.  Holds the
+  /// endpoint's flush group: a set member's is the whole set, which a
+  /// subsystem holds across a slice so that everything the slice emits on
+  /// a channel shares a frame.
+  void hold_flush() { group().hold(); }
+  void release_flush() { group().release(); }
+
+  /// Makes `group` this endpoint's flush group (ChannelSet::add).
+  void join_flush_group(FlushGroup& group) { group_ = &group; }
 
   /// Messages per batch frame before an automatic flush.
   void set_batch_limit(std::uint32_t limit) {
@@ -206,6 +225,10 @@ class ChannelEndpoint {
   std::uint64_t granted_out_seen = 0;
   bool request_outstanding = false;
   std::uint64_t next_request_id = 1;
+  /// The id of the peer's request this side has yet to answer.  The slice's
+  /// grant push answers it once the promise reaches the peer's need; the
+  /// resets below keep it, since any later promise answers it soundly.
+  std::optional<std::uint64_t> owed_answer;
   /// Dedup state for safe-time requests: the (pending dispatch time,
   /// effective grant) pair the last request was sent under.  A reply that
   /// improves nothing clears request_outstanding, and without this memory
@@ -378,7 +401,14 @@ class ChannelEndpoint {
   std::uint32_t batch_count_ = 0;
   std::size_t first_payload_offset_ = 0;  // bare-format start, batch of one
   std::uint32_t batch_limit_ = 64;
-  std::uint32_t flush_hold_ = 0;
+  FlushGroup own_group_;
+  FlushGroup* group_ = nullptr;  // a set's group, or own_group_ when null
+  bool listed_ = false;          // in group().dirty until its release
+  friend struct FlushGroup;
+
+  [[nodiscard]] FlushGroup& group() {
+    return group_ != nullptr ? *group_ : own_group_;
+  }
 
   std::deque<ChannelMessage> inbound_;  // decoded, not yet delivered
 };

@@ -24,9 +24,32 @@ bool has_kernel_fd(const transport::Link& link) {
 }  // namespace
 
 void ChannelSet::add(std::unique_ptr<ChannelEndpoint> endpoint) {
-  endpoint->link().set_ready_signal(signal_);
-  kernel_fd_ |= has_kernel_fd(endpoint->link());
+  endpoint->join_flush_group(flush_);
   channels_.push_back(std::move(endpoint));
+  attach(static_cast<std::uint32_t>(channels_.size() - 1));
+}
+
+void ChannelSet::attach(std::uint32_t i) {
+  transport::Link& link = channels_[i]->link();
+  auto member = std::make_shared<transport::ReadySignal>(signal_, i);
+  link.set_ready_signal(member);
+  const bool fd = has_kernel_fd(link);
+  kernel_fd_ |= fd;
+  // A link that kept no copy of its signal can never notify it.
+  const bool polled = fd || member.use_count() == 1;
+  const auto at = std::lower_bound(polled_.begin(), polled_.end(), i);
+  const bool listed = at != polled_.end() && *at == i;
+  if (polled && !listed) polled_.insert(at, i);
+  if (!polled && listed) polled_.erase(at);
+  // Frames the link queued before it had the signal marked nothing.  The
+  // mark sends the next drain there without waking anyone: a fresh set's
+  // first wait still sleeps.
+  if (!polled) signal_->mark(i);
+}
+
+void ChannelSet::release_flush() {
+  const transport::DeferredRings rings;
+  flush_.release();
 }
 
 ChannelEndpoint& ChannelSet::at(ChannelId id) {
@@ -37,7 +60,7 @@ ChannelEndpoint& ChannelSet::at(ChannelId id) {
 void ChannelSet::replace_link(ChannelId id, transport::LinkPtr link) {
   ChannelEndpoint& endpoint = at(id);
   endpoint.replace_link(std::move(link));
-  endpoint.link().set_ready_signal(signal_);
+  attach(id.value());
   kernel_fd_ = std::any_of(
       channels_.begin(), channels_.end(),
       [](const auto& c) { return has_kernel_fd(c->link()); });

@@ -23,10 +23,24 @@
 // turned readable costs a poll.  can_park() is false for a set holding one,
 // so the pooled executor slices such a subsystem every pass.  Parking it
 // would hold every TCP frame until the idle hint (10 ms) expired.
+//
+// The same split keeps a drain pass from touching quiet channels.  Each
+// link gets a member of the set's signal, so a notify also marks which
+// channel it came from, and for_each_ready() visits only the marked
+// channels plus the ones that cannot mark: kernel-fd links, and links that
+// keep no signal at all.  A decorator-held frame matures without a notify,
+// so a visit that leaves one behind marks its channel again.
+//
+// Flushing likewise follows the traffic.  FlushHold holds the whole set
+// through one FlushGroup, so opening it costs O(1), and its release flushes
+// only the endpoints that batched something.  The release defers its
+// doorbell rings (transport::DeferredRings): each destination waiter is
+// rung once per release, not once per channel flushed to it.
 #pragma once
 
 #include <poll.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -74,6 +88,20 @@ class ChannelSet {
   /// channels.  Take before inspecting, never after.
   bool take_signal() { return signal_->take(); }
 
+  /// Calls fn(i) for every channel a drain pass must inspect, in index
+  /// order: those whose link notified since the last pass, and those whose
+  /// link cannot notify (a kernel fd, or no signal kept).  A channel whose
+  /// link still holds a decorator-held frame after fn(i) is marked for the
+  /// next pass.  fn must not start another pass.
+  template <typename Fn>
+  void for_each_ready(Fn&& fn);
+
+  /// Holds every endpoint's batch until the matching release; nests.
+  void hold_flush() { flush_.hold(); }
+  /// Ends a hold; the outermost release flushes the endpoints that batched
+  /// something and rings each destination doorbell once.
+  void release_flush();
+
   /// True when every link reports input through the shared signal, i.e.
   /// no link appends a poll entry (cached by add and replace_link).
   /// Only then may a scheduler skip the subsystem until take_signal(),
@@ -108,10 +136,33 @@ class ChannelSet {
   bool prepare_wait(transport::Doorbell& bell, std::vector<pollfd>& fds);
 
  private:
+  /// Gives channel `i`'s link a member of the shared signal and records
+  /// whether the drain must poll it every pass.
+  void attach(std::uint32_t i);
+
   std::vector<std::unique_ptr<ChannelEndpoint>> channels_;
   transport::ReadySignalPtr signal_;
   bool kernel_fd_ = false;  // some link has a kernel fd to poll
+  /// Channels inspected on every pass, ascending: links that never mark.
+  std::vector<std::uint32_t> polled_;
+  std::vector<std::uint32_t> ready_;  // for_each_ready's scratch
+  FlushGroup flush_;
 };
+
+template <typename Fn>
+void ChannelSet::for_each_ready(Fn&& fn) {
+  ready_.clear();
+  signal_->take_marks([this](std::uint32_t i) { ready_.push_back(i); });
+  if (!polled_.empty()) {
+    ready_.insert(ready_.end(), polled_.begin(), polled_.end());
+    std::sort(ready_.begin(), ready_.end());
+    ready_.erase(std::unique(ready_.begin(), ready_.end()), ready_.end());
+  }
+  for (const std::uint32_t i : ready_) {
+    fn(i);
+    if (channels_[i]->link().next_ready_time()) signal_->mark(i);
+  }
+}
 
 /// Brackets a burst of sends: every channel holds its batch open until the
 /// scope exits, so all messages one loop slice emits share a link frame.
@@ -120,11 +171,9 @@ class ChannelSet {
 class FlushHold {
  public:
   explicit FlushHold(ChannelSet& channels) : channels_(channels) {
-    for (const auto& c : channels_) c->hold_flush();
+    channels_.hold_flush();
   }
-  ~FlushHold() {
-    for (const auto& c : channels_) c->release_flush();
-  }
+  ~FlushHold() { channels_.release_flush(); }
   FlushHold(const FlushHold&) = delete;
   FlushHold& operator=(const FlushHold&) = delete;
 

@@ -135,7 +135,11 @@ void ReplicaLinkGroup::reattach_member(std::size_t member,
   ++mem.epoch;
   mem.alive = true;
   dedup_.rebase_member(member);
-  if (signal_) mem.link->set_ready_signal(signal_);
+  if (signal_) {
+    mem.link->set_ready_signal(signal_);
+    // Frames the fresh link queued before it had the signal raised none.
+    signal_->notify();
+  }
 }
 
 void ReplicaLinkGroup::settle_member_death(std::size_t member) {

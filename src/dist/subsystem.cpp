@@ -121,13 +121,15 @@ bool Subsystem::drain() {
   bool progress = true;
   while (progress) {
     progress = false;
-    for (std::uint32_t i = 0; i < channels_.size(); ++i) {
+    // A pass visits the channels whose link notified (and those that
+    // cannot notify); a quiet in-process channel costs it nothing.
+    channels_.for_each_ready([&](std::uint32_t i) {
       while (auto message = channels_[i].poll()) {
         handle_message(ChannelId{i}, std::move(*message));
         progress = true;
         any = true;
       }
-    }
+    });
   }
   return any;
 }
@@ -294,8 +296,8 @@ std::optional<Subsystem::RunOutcome> Subsystem::run_slice(
   // grant and status push emit on a channel shares a batch.  The caller's
   // idle wait happens outside the hold so replies flush first.
   FlushHold hold(channels_);
-  // The drain may answer requests, whose grants declare our need: it is
-  // capped by this run's horizon.
+  // Every grant this slice sends declares our need, which is capped by
+  // this run's horizon.
   conservative_.set_horizon(config.horizon);
   progressed = drain();
 

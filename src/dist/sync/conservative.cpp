@@ -8,11 +8,9 @@ void ConservativeEngine::on_request(ChannelId channel_id,
                                     const SafeTimeRequest& request) {
   ChannelEndpoint& endpoint = ctx_.channels().at(channel_id);
   endpoint.note_peer_need(request.need_by, request.events_seen);
-  const VirtualTime grant = grant_for(channel_id);
-  // A promise the requester cannot use yet is not an answer: the first
-  // push that reaches its need is (on_grant takes any grant as the reply).
-  if (grant < endpoint.peer_need) return;
-  send_grant(endpoint, request.request_id, grant);
+  // Answered by the slice's push_grants, from the one pricing it makes for
+  // every channel; the answer leaves in the same held frame either way.
+  endpoint.owed_answer = request.request_id;
 }
 
 void ConservativeEngine::on_grant(ChannelId channel_id,
@@ -261,14 +259,18 @@ void ConservativeEngine::push_grants() {
     // infinite promise made before any events were queued): every push is
     // an independently sound promise, and withholding the events_seen
     // acknowledgment froze the peer's unseen-send clamp forever, wedging
-    // whole mixed-mode chains (fuzz_cluster seed 2).
-    if (grant <= c.granted_out && c.event_msgs_received <= c.granted_out_seen)
+    // whole mixed-mode chains (fuzz_cluster seed 2).  A request is
+    // answered whether or not the promise improves.
+    if (grant <= c.granted_out &&
+        c.event_msgs_received <= c.granted_out_seen && !c.owed_answer)
       continue;
     // ... but only once the peer can use it.  Below its need the peer's
     // effective grant stays below the need however an acknowledgment moves
-    // its clamp, so a withheld push changes nothing it could act on.
+    // its clamp, so a withheld push changes nothing it could act on.  An
+    // owed answer waits for the first push that reaches the need.
     if (grant < c.peer_need) continue;
-    send_grant(c, 0, grant);
+    send_grant(c, c.owed_answer.value_or(0), grant);
+    c.owed_answer.reset();
   }
 }
 

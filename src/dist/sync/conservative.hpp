@@ -43,6 +43,7 @@ class ConservativeEngine {
   /// removed): min over next local event and the grants peers on *other*
   /// channels gave us, plus the channel lookahead; or, when components
   /// declare output horizons, the channel's earliest possible crossing.
+  /// push_grants() prices every channel the same way at once.
   [[nodiscard]] VirtualTime grant_for(ChannelId requester);
 
   /// min over conservative channels of granted_in (the advance barrier).
@@ -53,7 +54,8 @@ class ConservativeEngine {
   void set_horizon(VirtualTime horizon) { horizon_ = horizon; }
 
   /// Pushes improved grants on all channels (null messages), each only
-  /// once it reaches the need the peer declared.
+  /// once it reaches the need the peer declared, and answers the requests
+  /// the drain recorded (on_request), by id, from the same pricing.
   void push_grants();
   void push_status_if_changed();
 

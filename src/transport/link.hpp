@@ -159,9 +159,14 @@ class Link {
   // poll them directly.  Decorators forward these calls to the wrapped
   // link.  The defaults — no signal, no fd, no buffered release — make new
   // Link implementations safe by construction: the waiter simply falls
-  // back to its poll timeout for them.
+  // back to its poll timeout for them.  A receiver that inspects only the
+  // links that notified (dist::ChannelSet's drain) tells the two kinds
+  // apart by whether the link kept the signal it was given; one that drops
+  // it, as the default does, is inspected on every pass.
 
-  /// Attach the waiter's shared signal.  Replaces any previous signal.
+  /// Attach the waiter's signal.  Replaces any previous signal.  A link
+  /// that keeps it must notify it on every frame that turns receivable
+  /// and on close.
   virtual void set_ready_signal(ReadySignalPtr /*signal*/) {}
 
   /// Kernel fd that turns readable when traffic (or close) arrives, or -1

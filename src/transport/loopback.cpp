@@ -86,16 +86,20 @@ class LoopbackLink final : public Link {
   }
 
   void close() override {
+    // Close both directions before notifying either: the peer's closed()
+    // reads the direction it sends on, so a peer woken by the first notify
+    // must already find it closed (its waiter inspects only notified links
+    // and is not woken again).
+    ReadySignalPtr signals[2];
+    int k = 0;
     for (auto& pipe : {out_, in_}) {
-      ReadySignalPtr signal;
-      {
-        const std::lock_guard<std::mutex> lock(pipe->mutex);
-        pipe->closed.store(true, std::memory_order_release);
-        signal = pipe->signal;
-      }
-      pipe->ready.notify_all();
-      if (signal) signal->notify();
+      const std::lock_guard<std::mutex> lock(pipe->mutex);
+      pipe->closed.store(true, std::memory_order_release);
+      signals[k++] = pipe->signal;
     }
+    for (auto& pipe : {out_, in_}) pipe->ready.notify_all();
+    for (const ReadySignalPtr& signal : signals)
+      if (signal) signal->notify();
   }
 
   void set_ready_signal(ReadySignalPtr signal) override {

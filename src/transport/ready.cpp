@@ -61,6 +61,47 @@ int poll_until(std::span<pollfd> fds,
   }
 }
 
+ReadySignal::ReadySignal()
+    : own_(std::make_unique<Doorbell>()), route_(own_.get()) {}
+
+ReadySignal::ReadySignal(ReadySignalPtr parent, std::uint32_t index)
+    : parent_(std::move(parent)), bit_(std::uint64_t{1} << (index % 64)) {
+  auto& words = parent_->marks_;
+  while (words.size() <= index / 64)
+    words.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
+  mark_ = words[index / 64].get();
+}
+
+namespace {
+
+/// The calling thread's DeferredRings state: the scope depth and the
+/// distinct bells owed a ring.
+struct RingDeferral {
+  int depth = 0;
+  std::vector<Doorbell*> bells;
+};
+
+thread_local RingDeferral deferral;
+
+}  // namespace
+
+DeferredRings::DeferredRings() { ++deferral.depth; }
+
+DeferredRings::~DeferredRings() {
+  if (--deferral.depth > 0) return;
+  // Outside every scope ring() rings at once and leaves the list alone.
+  for (Doorbell* bell : deferral.bells) bell->ring();
+  deferral.bells.clear();
+}
+
+bool Doorbell::defer_ring(Doorbell& bell) {
+  if (deferral.depth == 0) return false;
+  if (std::find(deferral.bells.begin(), deferral.bells.end(), &bell) ==
+      deferral.bells.end())
+    deferral.bells.push_back(&bell);
+  return true;
+}
+
 void Doorbell::disarm() {
   // The arm was claimed: its notifier has rung the fd or is about to.
   if (!armed_.exchange(false)) ++owed_;

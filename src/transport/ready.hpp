@@ -43,11 +43,31 @@
 // outlive every notifier.  A signal's own bell lives as long as the signal,
 // which its links share; a worker's bell is leased from a process-wide free
 // list and never destroyed, and the next pool re-leases it, so repeated runs
-// open no new fds.
+// open no new fds.  A deferred ring is rung before its scope ends, while
+// the sending link (which holds the route's signal) is still alive.
 //
 // The waiter side (take, route, arm, disarm) belongs to one thread at a
 // time; the pooled executor hands a subsystem between workers under its
 // queue mutex.  notify() is safe from any thread and never blocks.
+//
+// A waiter that watches many links through one signal also wants to know
+// WHICH of them notified, so that it inspects only those.  It gives each
+// link a member signal of its own: a member's notify() marks the member's
+// index in its parent's ready list, then notifies the parent.  The waiter
+// consumes the marks (take_marks) before it inspects the marked links, so a
+// frame that lands during the inspection marks its link again.  A member
+// has no doorbell; the marks live in the parent, which every member keeps
+// alive.
+//
+// A sender that flushes to many links in one go (a subsystem releasing its
+// held batches) would wake each destination waiter once per link: the first
+// ring wakes it, it re-arms, and the next flush rings again.  Inside a
+// DeferredRings scope a ring for an armed bell is recorded instead, and the
+// outermost scope's end rings each distinct recorded bell once.  The
+// notifier's route and `armed` loads still follow its `pending` store (the
+// loads happen at notify, or later at the scope's end), so the proof below
+// is unchanged; a waiter woken by the deferred ring sleeps at most one
+// scope longer.
 //
 // poll_until is the one sleep in the library: link receives, decorator
 // release waits, connect backoff, the subsystem wait and the pooled executor
@@ -65,10 +85,12 @@
 #include <poll.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 namespace pia::transport {
 
@@ -101,10 +123,13 @@ class Doorbell {
 
   /// Writes the fd when a waiter is armed; of several concurrent rings only
   /// the one that claims the arm writes.  Safe from any thread.
+  /// Inside a DeferredRings scope the ring is recorded and happens when the
+  /// outermost scope ends.
   void ring() {
     // The load filters the common case (nobody armed) without a locked
     // instruction; the exchange lets exactly one notifier ring per arm.
-    if (armed_.load() && armed_.exchange(false)) write_fd();
+    if (armed_.load() && !defer_ring(*this) && armed_.exchange(false))
+      write_fd();
   }
 
   /// The fd a waiter adds to its poll set between arm() and disarm()
@@ -112,6 +137,9 @@ class Doorbell {
   [[nodiscard]] int fd() const { return fds_[0]; }
 
  private:
+  /// Records the ring when the calling thread is inside a DeferredRings
+  /// scope; false otherwise.
+  static bool defer_ring(Doorbell& bell);
   /// Writes one ring to the fd.
   void write_fd();
   /// Reads the fd without blocking; returns how many rings it read.
@@ -143,9 +171,31 @@ class DoorbellLease {
   Doorbell* bell_;
 };
 
+/// While one is alive on a thread, the rings that thread's notifies owe to
+/// armed bells wait; when the outermost ends, each distinct bell is rung
+/// once.  Scopes nest.
+class DeferredRings {
+ public:
+  DeferredRings();
+  ~DeferredRings();
+
+  DeferredRings(const DeferredRings&) = delete;
+  DeferredRings& operator=(const DeferredRings&) = delete;
+};
+
+class ReadySignal;
+using ReadySignalPtr = std::shared_ptr<ReadySignal>;
+
 class ReadySignal {
  public:
-  ReadySignal() = default;
+  /// A waiter's signal, with its own doorbell.
+  ReadySignal();
+
+  /// A member of `parent` at `index`: notify() marks `index` in the
+  /// parent's ready list, then notifies the parent.  Built on the parent's
+  /// waiter side; a member has no doorbell of its own and is never waited
+  /// on.
+  ReadySignal(ReadySignalPtr parent, std::uint32_t index);
 
   ReadySignal(const ReadySignal&) = delete;
   ReadySignal& operator=(const ReadySignal&) = delete;
@@ -154,8 +204,35 @@ class ReadySignal {
   /// its fd only for an armed waiter).  Safe to call from any thread, never
   /// blocks.
   void notify() {
+    if (mark_ != nullptr) {
+      mark_->fetch_or(bit_);
+      parent_->notify();
+      return;
+    }
     pending_.store(true);
     route_.load()->ring();
+  }
+
+  /// Marks member `index` without notifying: a waiter that must inspect
+  /// that member's link again at its next take_marks().  Waiter side.
+  void mark(std::uint32_t index) {
+    marks_[index / 64]->fetch_or(std::uint64_t{1} << (index % 64));
+  }
+
+  /// Consumes the members' marks and calls fn(index) for each marked
+  /// member, in index order.  Take before inspecting the members' links:
+  /// a notify racing the inspection marks its member again.  Waiter side.
+  template <typename Fn>
+  void take_marks(Fn&& fn) {
+    for (std::size_t w = 0; w < marks_.size(); ++w) {
+      std::atomic<std::uint64_t>& word = *marks_[w];
+      if (word.load(std::memory_order_relaxed) == 0) continue;
+      std::uint64_t bits = word.exchange(0, std::memory_order_acquire);
+      while (bits != 0) {
+        fn(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+        bits &= bits - 1;
+      }
+    }
   }
 
   /// Consumes the pending mark, without a syscall.  True means a sender
@@ -179,14 +256,20 @@ class ReadySignal {
 
   /// The signal's own doorbell, for a waiter that watches only this signal
   /// (ChannelSet::wait_any).  It lives as long as the signal.
-  [[nodiscard]] Doorbell& bell() { return own_; }
+  [[nodiscard]] Doorbell& bell() { return *own_; }
 
  private:
   std::atomic<bool> pending_{false};
-  Doorbell own_;
-  std::atomic<Doorbell*> route_{&own_};
+  std::unique_ptr<Doorbell> own_;  // null in a member
+  std::atomic<Doorbell*> route_{nullptr};
+  // A member's parent, and its mark: one bit of a word of the parent's.
+  ReadySignalPtr parent_;
+  std::atomic<std::uint64_t>* mark_ = nullptr;
+  std::uint64_t bit_ = 0;
+  // A parent's ready list, one word per 64 members.  Each word is
+  // allocated once and never moves, so members write through their own
+  // pointers while the waiter side appends words.
+  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> marks_;
 };
-
-using ReadySignalPtr = std::shared_ptr<ReadySignal>;
 
 }  // namespace pia::transport

@@ -13,6 +13,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <pthread.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -363,6 +364,33 @@ TEST(ReadySignal, WaitAnySurvivesEintrStorm) {
   EXPECT_FALSE(woke);
   EXPECT_GE(elapsed, 350ms);
   EXPECT_LT(elapsed, 5s);
+}
+
+TEST(DeferredRings, NotifyOutsideAScopeRingsAtOnceInsideAtItsEnd) {
+  ReadySignal signal;
+  pollfd p{signal.bell().fd(), POLLIN, 0};
+  // No scope: the notify rings the armed bell before it returns.
+  ASSERT_FALSE(arm_own_bell(signal));
+  signal.notify();
+  EXPECT_EQ(::poll(&p, 1, 0), 1);
+  signal.bell().disarm();
+  EXPECT_TRUE(signal.take());
+
+  // In nested scopes the ring waits for the outermost scope's end.
+  ASSERT_FALSE(arm_own_bell(signal));
+  {
+    const DeferredRings outer;
+    {
+      const DeferredRings inner;
+      signal.notify();
+    }
+    EXPECT_TRUE(signal.pending());
+    EXPECT_EQ(::poll(&p, 1, 0), 0);
+  }
+  EXPECT_EQ(::poll(&p, 1, 0), 1);
+  signal.bell().disarm();
+  EXPECT_EQ(::poll(&p, 1, 0), 0);
+  EXPECT_TRUE(signal.take());
 }
 
 TEST(DoorbellStorm, WaiterReceivesEveryFrameAndNeverSleepsToItsDeadline) {
@@ -870,6 +898,151 @@ TEST(NodeExecutor, NotifyAfterRunReturnedIsSafeAndRunsLeakNoFds) {
     ASSERT_EQ(run_parked_pool_then_send(), Subsystem::RunOutcome::kStalled);
   if (before < 0) GTEST_SKIP() << "no /proc/self/fd to count";
   EXPECT_EQ(open_fd_count(), before);
+}
+
+// --- Deferred rings: one doorbell write per held release -----------------
+
+/// How many rings `bell` holds, read without consuming them through the
+/// bell (an eventfd counter; a pipe carries one byte per ring).
+std::uint64_t rings_on(const transport::Doorbell& bell) {
+#ifdef __linux__
+  std::uint64_t count = 0;
+  return ::read(bell.fd(), &count, sizeof(count)) == sizeof(count) ? count
+                                                                   : 0;
+#else
+  char sink[64];
+  const ssize_t n = ::read(bell.fd(), sink, sizeof(sink));
+  return n > 0 ? static_cast<std::uint64_t>(n) : 0;
+#endif
+}
+
+/// Re-arms `bell` after every frame it forwards, as a waiter woken by that
+/// frame's ring would before the sender's next flush.
+class RearmingLink final : public transport::Link {
+ public:
+  RearmingLink(transport::LinkPtr inner, transport::Doorbell& bell)
+      : inner_(std::move(inner)), bell_(bell) {}
+
+  void send(BytesView frame, std::uint32_t message_count) override {
+    inner_->send(frame, message_count);
+    bell_.arm();
+  }
+  std::optional<Bytes> try_recv() override { return inner_->try_recv(); }
+  std::optional<Bytes> recv_for(std::chrono::milliseconds timeout) override {
+    return inner_->recv_for(timeout);
+  }
+  void close() override { inner_->close(); }
+  [[nodiscard]] bool closed() const override { return inner_->closed(); }
+  [[nodiscard]] transport::LinkStats stats() const override {
+    return inner_->stats();
+  }
+  [[nodiscard]] std::string describe() const override { return "rearming"; }
+  void set_ready_signal(transport::ReadySignalPtr signal) override {
+    inner_->set_ready_signal(std::move(signal));
+  }
+
+ private:
+  transport::LinkPtr inner_;
+  transport::Doorbell& bell_;
+};
+
+std::unique_ptr<ChannelEndpoint> endpoint_over(transport::LinkPtr link,
+                                               std::size_t index) {
+  auto endpoint = std::make_unique<ChannelEndpoint>(
+      "c" + std::to_string(index), ChannelMode::kConservative,
+      std::move(link), 1);
+  endpoint->index = static_cast<std::uint32_t>(index);
+  return endpoint;
+}
+
+TEST(DeferredRings, HeldReleaseToThreeChannelsWritesOneArmedBellOnce) {
+  // Three receiving sets, like three subsystems of one pool worker, wait on
+  // the worker's one bell.  A sender's held release flushes a frame to
+  // each.  Rung per flush, the woken worker would re-arm between flushes
+  // and take three writes; the release rings the bell once, at its end.
+  transport::Doorbell bell;
+  ChannelSet sender;
+  std::vector<std::unique_ptr<ChannelSet>> receivers;
+  for (std::size_t k = 0; k < 3; ++k) {
+    auto pair = transport::make_loopback_pair();
+    sender.add(endpoint_over(
+        std::make_unique<RearmingLink>(std::move(pair.a), bell), k));
+    receivers.push_back(std::make_unique<ChannelSet>());
+    receivers.back()->add(endpoint_over(std::move(pair.b), 0));
+  }
+  std::vector<pollfd> fds;
+  bell.arm();
+  for (auto& receiver : receivers)
+    ASSERT_FALSE(receiver->prepare_wait(bell, fds));
+  {
+    const FlushHold hold(sender);
+    for (std::size_t k = 0; k < 3; ++k)
+      sender[k].send_message(StatusMsg{.now = {}, .msgs_sent = k});
+    pollfd p{bell.fd(), POLLIN, 0};
+    EXPECT_EQ(::poll(&p, 1, 0), 0) << "rang before the release";
+  }
+  EXPECT_EQ(rings_on(bell), 1u);
+  for (auto& receiver : receivers) {
+    EXPECT_TRUE(receiver->take_signal());
+    EXPECT_TRUE((*receiver)[0].poll().has_value());
+  }
+}
+
+TEST(DeferredRings, HeldReleasesToASleepingWaiterLoseNoWake) {
+  // A sender thread runs held releases that flush to 1-4 of four channels
+  // while the receiving thread sleeps on one bell, running the full cycle:
+  // take, drain the marked channels, arm, route and read the mark, poll,
+  // disarm.  The sender waits for each release to be consumed before the
+  // next, so a ring lost at a release's end leaves the waiter asleep until
+  // its 10 s deadline.
+  constexpr std::size_t kChannels = 4;
+  constexpr std::uint32_t kReleases = 3000;
+  ChannelSet sender;
+  ChannelSet receiver;
+  for (std::size_t k = 0; k < kChannels; ++k) {
+    auto pair = transport::make_loopback_pair();
+    sender.add(endpoint_over(std::move(pair.a), k));
+    receiver.add(endpoint_over(std::move(pair.b), k));
+  }
+  std::uint64_t total = 0;
+  for (std::uint32_t r = 0; r < kReleases; ++r) total += 1 + r % kChannels;
+  std::atomic<std::uint64_t> consumed{0};
+  std::thread tx([&] {
+    std::uint64_t sent = 0;
+    for (std::uint32_t r = 0; r < kReleases; ++r) {
+      {
+        const FlushHold hold(sender);
+        for (std::uint32_t k = 0; k <= r % kChannels; ++k, ++sent)
+          sender[(r + k) % kChannels].send_message(
+              StatusMsg{.now = {}, .idle = true});
+      }
+      while (consumed.load(std::memory_order_acquire) < sent)
+        std::this_thread::yield();
+    }
+  });
+
+  transport::Doorbell bell;
+  std::vector<pollfd> fds;
+  std::uint64_t next = 0;
+  for (std::uint32_t round = 0;; ++round) {
+    receiver.take_signal();
+    receiver.for_each_ready([&](std::uint32_t i) {
+      while (receiver[i].poll()) ++next;
+    });
+    consumed.store(next, std::memory_order_release);
+    if (next == total) break;
+    if (round % 2 == 1) std::this_thread::yield();
+    fds.assign(1, pollfd{.fd = bell.fd(), .events = POLLIN, .revents = 0});
+    bell.arm();
+    const bool pending = receiver.prepare_wait(bell, fds);
+    const auto now = std::chrono::steady_clock::now();
+    const int ready = transport::poll_until(fds, pending ? now : now + 10s);
+    bell.disarm();
+    ASSERT_TRUE(pending || ready == 1)
+        << "slept to the deadline with message " << next << " outstanding";
+  }
+  tx.join();
+  EXPECT_EQ(next, total);
 }
 
 TEST(SchedulerConfinement, ForeignThreadStepRaisesConsistency) {

@@ -300,7 +300,10 @@ TEST(ClusterObservability, CollidingManualCollectionIsRejected) {
 // value) as "scope name value", one a line.  Every pinned line must still
 // appear unchanged.  The recording predates the adaptive counters' copies
 // under "sub/<name>" (they lived under "engine/<name>/adaptive" alone), so
-// those are the only lines a run may add.
+// those are the only lines a run may add.  ssA's grant counts were
+// re-recorded when request answers moved into the slice's grant push: one
+// answer and one push of the same slice became one grant (a message and 8
+// bytes fewer on ssA<->ssB).
 constexpr const char* kPinnedMetrics = R"(
 chan/ssA/0:ssA<->ssB event_msgs_received 0
 chan/ssA/0:ssA<->ssB event_msgs_sent 30
@@ -310,7 +313,7 @@ chan/ssA/0:ssA<->ssB heartbeats_received 1
 chan/ssA/0:ssA<->ssB input_log 0
 chan/ssA/0:ssA<->ssB input_trimmed 0
 chan/ssA/0:ssA<->ssB link_bytes_received 189
-chan/ssA/0:ssA<->ssB link_bytes_sent 500
+chan/ssA/0:ssA<->ssB link_bytes_sent 492
 chan/ssA/0:ssA<->ssB link_faults_abrupt_closes 0
 chan/ssA/0:ssA<->ssB link_faults_delayed 0
 chan/ssA/0:ssA<->ssB link_faults_dropped 0
@@ -320,11 +323,11 @@ chan/ssA/0:ssA<->ssB link_faults_partition_held 0
 chan/ssA/0:ssA<->ssB link_frames_received 8
 chan/ssA/0:ssA<->ssB link_frames_sent 9
 chan/ssA/0:ssA<->ssB link_messages_received 8
-chan/ssA/0:ssA<->ssB link_messages_sent 49
+chan/ssA/0:ssA<->ssB link_messages_sent 48
 chan/ssA/0:ssA<->ssB mode 0
 chan/ssA/0:ssA<->ssB mode_epoch 0
 chan/ssA/0:ssA<->ssB msgs_received 4
-chan/ssA/0:ssA<->ssB msgs_sent 35
+chan/ssA/0:ssA<->ssB msgs_sent 34
 chan/ssA/0:ssA<->ssB output_log 30
 chan/ssA/0:ssA<->ssB output_trimmed 0
 chan/ssA/0:ssA<->ssB peer_down 0
@@ -335,7 +338,7 @@ chan/ssB/0:ssA<->ssB granted_out_ticks 9223372036854775807
 chan/ssB/0:ssA<->ssB heartbeats_received 1
 chan/ssB/0:ssA<->ssB input_log 30
 chan/ssB/0:ssA<->ssB input_trimmed 0
-chan/ssB/0:ssA<->ssB link_bytes_received 492
+chan/ssB/0:ssA<->ssB link_bytes_received 484
 chan/ssB/0:ssA<->ssB link_bytes_sent 189
 chan/ssB/0:ssA<->ssB link_faults_abrupt_closes 0
 chan/ssB/0:ssA<->ssB link_faults_delayed 0
@@ -349,7 +352,7 @@ chan/ssB/0:ssA<->ssB link_messages_received 8
 chan/ssB/0:ssA<->ssB link_messages_sent 18
 chan/ssB/0:ssA<->ssB mode 0
 chan/ssB/0:ssA<->ssB mode_epoch 0
-chan/ssB/0:ssA<->ssB msgs_received 35
+chan/ssB/0:ssA<->ssB msgs_received 34
 chan/ssB/0:ssA<->ssB msgs_sent 4
 chan/ssB/0:ssA<->ssB output_log 0
 chan/ssB/0:ssA<->ssB output_trimmed 0
@@ -423,7 +426,7 @@ engine/ssA/adaptive proposals_sent 0
 engine/ssA/adaptive to_conservative 0
 engine/ssA/adaptive to_optimistic 0
 engine/ssA/conservative grants_received 2
-engine/ssA/conservative grants_sent 3
+engine/ssA/conservative grants_sent 2
 engine/ssA/conservative requests_sent 1
 engine/ssA/conservative stalls 1
 engine/ssA/optimistic checkpoints 2
@@ -449,7 +452,7 @@ engine/ssB/adaptive proposals_rejected 0
 engine/ssB/adaptive proposals_sent 1
 engine/ssB/adaptive to_conservative 1
 engine/ssB/adaptive to_optimistic 0
-engine/ssB/conservative grants_received 5
+engine/ssB/conservative grants_received 4
 engine/ssB/conservative grants_sent 4
 engine/ssB/conservative requests_sent 1
 engine/ssB/conservative stalls 1
@@ -499,7 +502,7 @@ sub/ssA checkpoints 2
 sub/ssA events_received 0
 sub/ssA events_sent 30
 sub/ssA grants_received 2
-sub/ssA grants_sent 3
+sub/ssA grants_sent 2
 sub/ssA heartbeats_received 1
 sub/ssA heartbeats_sent 1
 sub/ssA marks_received 1
@@ -524,7 +527,7 @@ sub/ssA trace_records 0
 sub/ssB checkpoints 4
 sub/ssB events_received 30
 sub/ssB events_sent 40
-sub/ssB grants_received 5
+sub/ssB grants_received 4
 sub/ssB grants_sent 4
 sub/ssB heartbeats_received 2
 sub/ssB heartbeats_sent 2

@@ -615,14 +615,19 @@ TEST(SyncNeed, RequestBelowTheNeedIsAnsweredByThePushThatReachesIt) {
   const auto pushed = grants_in(ctx.sent_on(0));
   ASSERT_EQ(pushed.size(), 1u);
   EXPECT_EQ(pushed[0].safe_time, ticks(45));
+  EXPECT_EQ(pushed[0].request_id, 7u);
 
-  // A request the grant already covers is answered at once, by id.
+  // A request the grant already covers is answered by id at the next
+  // push_grants, though the promise has not improved.
   engine.on_request(a, SafeTimeRequest{.request_id = 8,
                                        .need_by = ticks(45),
                                        .events_seen = 0});
+  EXPECT_TRUE(ctx.sent_on(0).empty());
+  engine.push_grants();
   const auto replied = grants_in(ctx.sent_on(0));
   ASSERT_EQ(replied.size(), 1u);
   EXPECT_EQ(replied[0].request_id, 8u);
+  EXPECT_EQ(replied[0].safe_time, ticks(45));
 
   // On the requesting side any grant ends the outstanding request.
   ea.request_outstanding = true;
@@ -632,15 +637,44 @@ TEST(SyncNeed, RequestBelowTheNeedIsAnsweredByThePushThatReachesIt) {
   EXPECT_FALSE(ea.request_outstanding);
 }
 
+TEST(SyncNeed, RequestIsAnsweredOnceByIdEvenWhenThePushImproves) {
+  StubContext ctx;
+  const ChannelId a = ctx.add_channel(ChannelMode::kConservative);
+  ConservativeEngine& engine = ctx.conservative();
+  queue_work(ctx, ticks(40));
+  engine.push_grants();
+  ASSERT_EQ(grants_in(ctx.sent_on(0)).size(), 1u);
+
+  // The drain records the request; nothing leaves until the slice pushes.
+  engine.on_request(a, SafeTimeRequest{.request_id = 3,
+                                       .need_by = ticks(10),
+                                       .events_seen = 0});
+  EXPECT_TRUE(ctx.sent_on(0).empty());
+  // The push also improves the promise (the channel gains lookahead): one
+  // grant carries both, under the request's id.
+  ctx.channels().at(a).lookahead = ticks(5);
+  engine.push_grants();
+  const auto answered = grants_in(ctx.sent_on(0));
+  ASSERT_EQ(answered.size(), 1u);
+  EXPECT_EQ(answered[0].request_id, 3u);
+  EXPECT_EQ(answered[0].safe_time, ticks(45));
+
+  // Answered once: the next push with nothing new sends nothing.
+  engine.push_grants();
+  EXPECT_TRUE(ctx.sent_on(0).empty());
+}
+
 TEST(SyncNeed, RequestAnsweredBeforeAnyPushStillGetsTheHorizonGrant) {
-  // An idle leaf at horizon 500 answers its grantor's request before it
-  // has pushed anything (a run slice drains before it pushes).
+  // An idle leaf at horizon 500 answers its grantor's request at its first
+  // push (a run slice drains, then pushes).
   StubContext leaf;
   const ChannelId la = leaf.add_channel(ChannelMode::kConservative);
   leaf.conservative().set_horizon(ticks(500));
   leaf.conservative().on_request(la, SafeTimeRequest{.request_id = 1});
+  leaf.conservative().push_grants();
   const auto replied = grants_in(leaf.sent_on(0));
   ASSERT_EQ(replied.size(), 1u);
+  EXPECT_EQ(replied[0].request_id, 1u);
   EXPECT_EQ(replied[0].need_by, ticks(500));
 
   // Its grantor's next event lies past the horizon.  The leaf never blocks
