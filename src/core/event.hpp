@@ -52,19 +52,13 @@ struct Event {
     serial::write(ar, source);
   }
 
-  /// legacy_port: version-1 recovery images stored the raw port value
-  /// (including the 5-byte kNoPort sentinel); newer images use the shifted
-  /// encoding above.
-  static Event load(serial::InArchive& ar, bool legacy_port = false) {
+  static Event load(serial::InArchive& ar) {
     Event e;
     e.time = serial::read<VirtualTime>(ar);
     e.seq = ar.get_varint();
     e.target = serial::read_id<ComponentTag>(ar);
-    const std::uint64_t raw_port = ar.get_varint();
-    if (legacy_port)
-      e.port = static_cast<PortIndex>(raw_port);
-    else
-      e.port = raw_port == 0 ? kNoPort : static_cast<PortIndex>(raw_port - 1);
+    const std::uint64_t port = ar.get_varint();
+    e.port = port == 0 ? kNoPort : static_cast<PortIndex>(port - 1);
     e.kind = static_cast<EventKind>(ar.get_varint());
     e.value = Value::load(ar);
     e.source = serial::read_id<ComponentTag>(ar);

@@ -118,7 +118,6 @@ void encode_message_into(serial::OutArchive& ar,
           ar.put_varint(m.nonce);
           ar.put_varint(m.epoch);
           ar.put_u8(m.target);
-          ar.put_varint(m.caps);
         } else if constexpr (std::is_same_v<T, ModeAckMsg>) {
           ar.put_u8(static_cast<std::uint8_t>(Tag::kModeAck));
           ar.put_varint(m.nonce);
@@ -213,10 +212,7 @@ ChannelMessage decode_message(BytesView data) {
       m.token = ar.get_varint();
       m.events_sent = ar.get_varint();
       m.events_received = ar.get_varint();
-      // Trailing field added in protocol version 2; a version-1 peer's
-      // message simply ends here.
-      m.protocol = ar.at_end() ? 1
-                               : static_cast<std::uint32_t>(ar.get_varint());
+      m.protocol = static_cast<std::uint32_t>(ar.get_varint());
       return m;
     }
     case Tag::kModeProposal: {
@@ -224,9 +220,6 @@ ChannelMessage decode_message(BytesView data) {
       m.nonce = ar.get_varint();
       m.epoch = ar.get_varint();
       m.target = ar.get_u8();
-      // Trailing sync-capability varint; a fixed-mode peer's encoder (none
-      // exist yet, but the pattern matches RejoinMsg) would omit it.
-      m.caps = ar.at_end() ? 0 : ar.get_varint();
       return m;
     }
     case Tag::kModeAck: {

@@ -22,17 +22,12 @@ namespace pia::dist {
 /// Channel wire-protocol version.  Version 2 introduced batch frames (one
 /// link frame carrying several messages) and the compact Event port
 /// encoding in recovery images; version 3 the `need_by` fields of safe-time
-/// requests and grants.  Announced in the rejoin handshake so mismatched
-/// peers fail loudly instead of desynchronizing.
-inline constexpr std::uint32_t kChannelProtocolVersion = 3;
-
-/// Synchronization-capability bits announced in a ModeProposalMsg (trailing
-/// varint bitmask; absent ⇒ 0 ⇒ a fixed-mode peer that cannot renegotiate).
-/// A missing bit never breaks the wire: the proposal is rejected and the
-/// channel simply keeps its current mode.
-inline constexpr std::uint64_t kSyncAdaptive = 1u << 0;
-/// Sync capabilities this build announces.
-inline constexpr std::uint64_t kLocalSyncCaps = kSyncAdaptive;
+/// requests and grants; version 4 dropped ModeProposalMsg's trailing
+/// capability word (every build renegotiates; a disabled controller answers
+/// "unsupported") and made RejoinMsg's protocol field mandatory.  Announced
+/// in the rejoin handshake so mismatched peers fail loudly instead of
+/// desynchronizing.
+inline constexpr std::uint32_t kChannelProtocolVersion = 4;
 
 /// Globally unique identifier of a sent event: (origin subsystem, counter).
 /// Retractions name the event they cancel by this id.
@@ -169,8 +164,7 @@ struct RejoinMsg {
   std::uint64_t token = 0;
   std::uint64_t events_sent = 0;      // sender's event_msgs_sent on this channel
   std::uint64_t events_received = 0;  // sender's event_msgs_received
-  /// Wire-protocol version the sender speaks.  Encoded as a trailing field;
-  /// pre-batching peers omitted it, so absence decodes as version 1.
+  /// Wire-protocol version the sender speaks.
   std::uint32_t protocol = kChannelProtocolVersion;
 };
 
@@ -184,9 +178,6 @@ struct ModeProposalMsg {
   std::uint64_t nonce = 0;
   std::uint64_t epoch = 0;
   std::uint8_t target = 0;  // ChannelMode the proposer wants
-  /// Sync capabilities the proposer supports (kSyncAdaptive | ...).
-  /// Trailing varint; absence decodes as 0 (fixed-mode peer).
-  std::uint64_t caps = kLocalSyncCaps;
 };
 
 /// Mode renegotiation, steps 2 and 5 (agree / flipped).  phase 0 answers

@@ -107,7 +107,7 @@ void Subsystem::start() {
 
 void Subsystem::restore_snapshot_image(BytesView image) {
   PIA_REQUIRE(started_, "restore_snapshot_image before start() on " + name_);
-  recovery_.restore_image(image);
+  snapshot_.restore_image(image);
   // The image carried the cut's recorded modes; any half-open negotiation
   // belonged to the pre-crash timeline.
   adaptive_.reset();

@@ -15,11 +15,11 @@
 //     cancellation, and GVT-driven fossil collection.
 //
 //   * sync::SnapshotCoordinator (§2.2.5): Chandy–Lamport marks, channel
-//     state recording, coordinated restore, and durable persistence.
+//     state recording, durable persistence and the image format, and the
+//     one restore of a completed cut (in memory or from an image).
 //
-//   * sync::RecoveryCoordinator: heartbeat liveness, the durable-image
-//     format, fresh-process restore, and the post-recovery rejoin
-//     handshake.
+//   * sync::RecoveryCoordinator: heartbeat liveness and the post-recovery
+//     rejoin handshake.
 //
 //   * sync::AdaptiveController: runtime conservative↔optimistic
 //     renegotiation per channel, flipped atomically at a Chandy–Lamport
@@ -176,7 +176,7 @@ class Subsystem : private sync::EngineContext {
   /// queue, per-channel logs and the recorded in-flight channel frames —
   /// into a self-contained durable image (the SnapshotStore payload).
   [[nodiscard]] Bytes export_snapshot(std::uint64_t token) const {
-    return recovery_.export_image(token);
+    return snapshot_.export_image(token);
   }
 
   /// Fresh-process restore: rebuilds this subsystem's entire execution
@@ -195,7 +195,7 @@ class Subsystem : private sync::EngineContext {
   /// Swaps in a fresh link on one channel (reconnect path for a surviving
   /// subsystem whose peer is being restarted).
   void replace_link(ChannelId channel_id, transport::LinkPtr link) {
-    recovery_.replace_link(channel_id, std::move(link));
+    channels_.replace_link(channel_id, std::move(link));
   }
 
   // --- failure detection ----------------------------------------------------------
@@ -407,16 +407,6 @@ class Subsystem : private sync::EngineContext {
   [[nodiscard]] const sync::PendingSnapshot* find_snapshot(
       std::uint64_t token) const override {
     return snapshot_.find(token);
-  }
-  [[nodiscard]] std::uint64_t snapshot_next_token() const override {
-    return snapshot_.next_token();
-  }
-  void reset_snapshots(std::uint64_t next_token) override {
-    snapshot_.reset(next_token);
-  }
-  [[nodiscard]] Bytes export_snapshot_image(
-      std::uint64_t token) const override {
-    return recovery_.export_image(token);
   }
   [[nodiscard]] bool mode_negotiation_hold() const override {
     return adaptive_.hold();

@@ -157,8 +157,7 @@ void AdaptiveController::propose(std::size_t channel, ChannelMode target) {
                 << " nonce=" << nonce_);
   c.send_message(ModeProposalMsg{.nonce = nonce_,
                                  .epoch = c.mode_epoch(),
-                                 .target = static_cast<std::uint8_t>(target),
-                                 .caps = kLocalSyncCaps});
+                                 .target = static_cast<std::uint8_t>(target)});
 }
 
 void AdaptiveController::on_proposal(ChannelId channel_id,
@@ -175,7 +174,7 @@ void AdaptiveController::on_proposal(ChannelId channel_id,
   };
   // A disabled controller still answers — with a clean "unsupported" — so a
   // peer that enabled adaptation never wedges waiting on us.
-  if (!enabled_ || (m.caps & kSyncAdaptive) == 0) {
+  if (!enabled_) {
     reject(1);
     return;
   }

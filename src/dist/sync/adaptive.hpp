@@ -13,8 +13,8 @@
 // flipping — no frame ever straddles the two protocols.
 //
 // The six-step handshake (proposer A, acceptor B, channel c):
-//   1. propose  A→B ModeProposal{nonce, epoch, target, caps}; A holds.
-//   2. agree    B arbitrates (capability, epoch fence, rejoin/replica/
+//   1. propose  A→B ModeProposal{nonce, epoch, target}; A holds.
+//   2. agree    B arbitrates (enabled, epoch fence, rejoin/replica/
 //               retired state, crossed proposals by proposer id) and either
 //               rejects — ModeAck{agree, accept=false}, A releases — or
 //               holds and answers ModeAck{agree, accept=true}.
@@ -29,9 +29,8 @@
 //   6. resume   B releases its hold.
 //
 // All five messages are control messages (excluded from the quiescence
-// counters) and v2-wire compatible: the proposal announces a trailing
-// sync-capability varint, mirroring the rejoin transport-capability
-// pattern, so a fixed-mode peer rejects cleanly instead of desyncing.
+// counters).  A peer whose controller is disabled answers the proposal
+// "unsupported", so the channel keeps its mode instead of desyncing.
 #pragma once
 
 #include <cstdint>

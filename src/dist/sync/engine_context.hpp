@@ -7,7 +7,10 @@
 // (SubsystemStats), and a handful of cross-engine services.  Every service
 // is implemented by exactly one engine and forwarded by the facade, so
 // engines never include — or even name — each other; the layering lint
-// (tools/lint_layers.py) enforces that structurally.  A test can implement
+// (tools/lint_layers.py) enforces that structurally.  The cuts, durable
+// images included, stay inside the SnapshotCoordinator: other engines reach
+// a cut only read-only (find_snapshot), and the RecoveryCoordinator offers
+// no service at all.  A test can implement
 // EngineContext with a stub and drive an engine without sockets, threads,
 // or the other protocols.
 #pragma once
@@ -52,7 +55,10 @@ struct SubsystemStats {
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t heartbeats_received = 0;
   std::uint64_t peer_down_events = 0;  // channels declared dead
-  std::uint64_t recoveries = 0;        // restores from a durable image
+  // Restores from a durable image: counted by the SnapshotCoordinator,
+  // which owns the image, under the "recovery" metrics scope it has always
+  // been exported in.
+  std::uint64_t recoveries = 0;
   std::uint64_t rejoins_verified = 0;  // rejoin handshakes cross-checked
   // AdaptiveController.
   std::uint64_t proposals_sent = 0;
@@ -126,17 +132,17 @@ namespace pia::dist::sync {
 
 /// Per-channel log positions at a checkpoint: output_log size, input
 /// injected count and lazy-replay cursor at request time.  Owned per
-/// SnapshotId by the OptimisticEngine; shared here because the snapshot and
-/// recovery coordinators serialize and restore against the same shape.
+/// SnapshotId by the OptimisticEngine; shared here because the
+/// SnapshotCoordinator records them in every cut it restores.
 struct SnapshotPositions {
   std::vector<std::size_t> out;
   std::vector<std::size_t> in;
   std::vector<std::size_t> cursor;
 };
 
-/// Chandy–Lamport bookkeeping per token.  Owned by the SnapshotCoordinator;
-/// the type is shared so the RecoveryCoordinator can serialize a completed
-/// cut without reaching into the coordinator's internals.
+/// Chandy–Lamport bookkeeping per token: one cut, taken live or decoded
+/// from a durable image.  Owned by the SnapshotCoordinator; the type is
+/// shared so the AdaptiveController can read a cut's recorded modes.
 struct PendingSnapshot {
   SnapshotId local;
   std::vector<bool> mark_pending;  // per channel: still recording?
@@ -205,16 +211,9 @@ class EngineContext {
   /// A rollback discarded the future past `kept`: revoke durable cuts that
   /// captured it.
   virtual void invalidate_snapshots_after(SnapshotId kept) = 0;
+  /// The cut registered under `token`, or null (the AdaptiveController
+  /// reads the modes its flip barrier recorded).
   [[nodiscard]] virtual const PendingSnapshot* find_snapshot(
-      std::uint64_t token) const = 0;
-  [[nodiscard]] virtual std::uint64_t snapshot_next_token() const = 0;
-  /// Fresh-process restore: drop all pending cuts and resume token
-  /// numbering where the image left off.
-  virtual void reset_snapshots(std::uint64_t next_token) = 0;
-
-  // --- services of the RecoveryCoordinator --------------------------------
-  /// Serializes the completed snapshot `token` into a durable image.
-  [[nodiscard]] virtual Bytes export_snapshot_image(
       std::uint64_t token) const = 0;
 
   // --- services of the AdaptiveController ----------------------------------

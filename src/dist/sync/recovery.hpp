@@ -1,10 +1,9 @@
 // RecoveryCoordinator: the crash-recovery layer.
 //
-// Owns failure detection (heartbeat beacons + liveness timeouts), the
-// durable-image serialization format ("pia.dist.recovery"), the
-// fresh-process restore that rebuilds a subsystem from such an image, the
+// Owns failure detection (heartbeat beacons + liveness timeouts) and the
 // post-recovery rejoin handshake that cross-checks both sides restored the
-// same cut, and link replacement for surviving peers of a restarted node.
+// same cut.  The durable image and its restore belong to the
+// SnapshotCoordinator, which owns the cuts they serialize.
 #pragma once
 
 #include <chrono>
@@ -41,18 +40,9 @@ class RecoveryCoordinator {
   bool judge_liveness();
   void on_heartbeat(ChannelId channel_id, const HeartbeatMsg& heartbeat);
 
-  // --- durable image / rejoin ----------------------------------------------
-  /// Serializes the completed snapshot `token` into a self-contained
-  /// durable image (the SnapshotStore payload).
-  [[nodiscard]] Bytes export_image(std::uint64_t token) const;
-  /// Fresh-process restore from an image produced by export_image on an
-  /// identically wired subsystem.
-  void restore_image(BytesView image);
+  // --- rejoin ---------------------------------------------------------------
   void begin_rejoin(std::uint64_t token);
   void on_rejoin(ChannelId channel_id, const RejoinMsg& rejoin);
-  /// Swaps in a fresh link on one channel (reconnect path for a surviving
-  /// subsystem whose peer is being restarted).
-  void replace_link(ChannelId channel_id, transport::LinkPtr link);
 
  private:
   EngineContext& ctx_;

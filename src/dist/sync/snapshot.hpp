@@ -1,10 +1,13 @@
 // SnapshotCoordinator: Chandy–Lamport distributed snapshots (paper §2.2.5)
 // plus their durable persistence.
 //
-// Owns the per-token mark bookkeeping and recorded channel state, the
-// dispatch-count auto-snapshot cadence, the coordinated (in-process)
-// restore, and the durable side: committing completed cuts to the attached
-// SnapshotStore and revoking cuts a rollback has unwound.
+// Owns the cuts: the per-token mark bookkeeping and recorded channel state,
+// the dispatch-count auto-snapshot cadence, the one restore of a completed
+// cut, and the durable side — the image format ("pia.dist.recovery"), which
+// is the serialized cut, committing completed cuts to the attached
+// SnapshotStore, and revoking cuts a rollback has unwound.  A fresh process
+// restores an image by decoding it into a registered cut and restoring that
+// through the same restore(token) a survivor uses in memory.
 #pragma once
 
 #include <cstdint>
@@ -46,19 +49,28 @@ class SnapshotCoordinator {
   /// state (coordinated restore; all subsystems restore the same token).
   void restore(std::uint64_t token);
 
+  // --- durable image -------------------------------------------------------
+  /// Serializes the completed snapshot `token` into a self-contained
+  /// durable image (the SnapshotStore payload).
+  [[nodiscard]] Bytes export_image(std::uint64_t token) const;
+  /// Fresh-process restore from an image produced by export_image on an
+  /// identically wired subsystem: registers the image's cut under its token
+  /// (complete and persisted) and restores it with restore(token).  Raises
+  /// Error{kSerialization} for an image of another format version.
+  void restore_image(BytesView image);
+
   // --- services reached via EngineContext ----------------------------------
   void invalidate_after(SnapshotId kept);
   [[nodiscard]] const PendingSnapshot* find(std::uint64_t token) const;
-  [[nodiscard]] std::uint64_t next_token() const { return next_cl_token_; }
-  void reset(std::uint64_t next_token);
 
  private:
   /// Commits `token` to the attached store if the snapshot just completed.
   void maybe_persist(std::uint64_t token);
-  /// Stamps the per-channel (mode, epoch) pairs live at checkpoint time
-  /// into `pending` — the cut doubles as the mode-flip barrier, so a
-  /// restore must put the modes of the cut back too.
-  void record_modes(PendingSnapshot& pending) const;
+  /// A new cut at this instant: a checkpoint, its log positions, every
+  /// channel still recording, and the per-channel (mode, epoch) pairs live
+  /// now — the cut doubles as the mode-flip barrier, so a restore must put
+  /// the modes of the cut back too.
+  PendingSnapshot checkpoint_cut();
 
   EngineContext& ctx_;
   std::map<std::uint64_t, PendingSnapshot> cl_snapshots_;

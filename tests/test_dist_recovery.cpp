@@ -24,6 +24,7 @@ using testing::RecoveryOptions;
 using testing::RecoveryReport;
 using testing::run_single_host_pipeline;
 using testing::run_with_crash_and_recover;
+using testing::SplitLoop;
 using testing::SplitPipe;
 
 /// A fresh (empty) per-test scratch directory under the gtest temp root.
@@ -378,6 +379,87 @@ TEST(DistributedRecovery, SurvivorReplacesLinkAndRestartedPeerRejoins) {
   EXPECT_EQ(sink2.times, final_times);
 }
 
+/// A mid-run cut, sliced by hand on one thread: ssB initiates as soon as
+/// events from ssA are in flight toward it, so its cut records channel
+/// state, and the slices go on until both sides hold the complete cut
+/// (before any fossil collection can drop its checkpoint).
+template <typename Pair>
+std::uint64_t cut_mid_run(Pair& pair) {
+  pair.cluster.start_all();
+  const Subsystem::RunConfig config{};
+  bool progressed = false;
+  const ChannelEndpoint& sender = pair.a->channel(pair.channels.a);
+  const ChannelEndpoint& receiver = pair.b->channel(pair.channels.b);
+  std::optional<std::uint64_t> token;
+  for (int k = 0; k < 64 && !(token && pair.a->snapshot_complete(*token) &&
+                              pair.b->snapshot_complete(*token));
+       ++k) {
+    (void)pair.a->run_slice(config, progressed);
+    if (!token && sender.event_msgs_sent > receiver.event_msgs_received)
+      token = pair.b->initiate_snapshot();
+    (void)pair.b->run_slice(config, progressed);
+  }
+  return token.value_or(0);
+}
+
+/// Exports `token` from both sides of `first`, restores the images into
+/// `fresh` (identically wired) and expects the same bytes back.
+template <typename Pair>
+void expect_same_bytes_after_restore(Pair& first, Pair& fresh) {
+  const std::uint64_t token = cut_mid_run(first);
+  ASSERT_TRUE(first.a->snapshot_complete(token));
+  ASSERT_TRUE(first.b->snapshot_complete(token));
+  const Bytes image_a = first.a->export_snapshot(token);
+  const Bytes image_b = first.b->export_snapshot(token);
+
+  fresh.cluster.start_all();
+  fresh.a->restore_snapshot_image(image_a);
+  fresh.b->restore_snapshot_image(image_b);
+  EXPECT_TRUE(fresh.a->snapshot_complete(token));
+  EXPECT_EQ(fresh.a->export_snapshot(token), image_a);
+  EXPECT_EQ(fresh.b->export_snapshot(token), image_b);
+}
+
+// The image is the serialized cut: restoring it registers that cut, so the
+// restored subsystem exports the very same bytes for the same token.  The
+// conservative loop's cut records events in flight back toward ssA; the
+// optimistic pipe's receiver has no stragglers, so its cut stays stable.
+TEST(DistributedRecovery, RestoredImageExportsTheSameBytes) {
+  {
+    SplitLoop first(12, ChannelMode::kConservative);
+    SplitLoop fresh(12, ChannelMode::kConservative);
+    expect_same_bytes_after_restore(first, fresh);
+  }
+  {
+    SplitPipe first(12, ChannelMode::kOptimistic);
+    SplitPipe fresh(12, ChannelMode::kOptimistic);
+    expect_same_bytes_after_restore(first, fresh);
+  }
+}
+
+// Only the current image format (version 3) is read; any other version is
+// a serialization error, not a best-effort decode.
+TEST(DistributedRecovery, ImageOfAnotherVersionIsRejected) {
+  SplitLoop first(6, ChannelMode::kConservative);
+  const std::uint64_t token = cut_mid_run(first);
+  const Bytes image = first.a->export_snapshot(token);
+  // The section name (length varint + 17 bytes), then the version varint.
+  const std::size_t version_at = 1 + std::string("pia.dist.recovery").size();
+  ASSERT_EQ(image.at(version_at), std::byte{3});
+  for (const std::uint8_t version : {2, 4}) {
+    Bytes patched = image;
+    patched[version_at] = std::byte{version};
+    SplitLoop fresh(6, ChannelMode::kConservative);
+    fresh.cluster.start_all();
+    try {
+      fresh.a->restore_snapshot_image(patched);
+      FAIL() << "version " << int{version} << " image restored";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kSerialization) << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Failure detection
 // ---------------------------------------------------------------------------
@@ -439,6 +521,28 @@ TEST(DistributedRecovery, RejoinTokenMismatchRaisesProtocolError) {
     FAIL() << "token mismatch accepted";
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
+  }
+}
+
+TEST(DistributedRecovery, RejoinProtocolMismatchRaisesProtocolError) {
+  SplitPipe pipe(4, ChannelMode::kConservative);
+  pipe.cluster.start_all();
+  pipe.cluster.run_all();
+  pipe.b->begin_rejoin(7);
+  // A peer speaking another wire-protocol version announces itself.
+  ChannelEndpoint& a_end = pipe.a->channel(pipe.channels.a);
+  a_end.send_message(RejoinMsg{.token = 7,
+                               .events_sent = a_end.event_msgs_sent,
+                               .events_received = a_end.event_msgs_received,
+                               .protocol = kChannelProtocolVersion + 1});
+  try {
+    pipe.b->drain();
+    FAIL() << "protocol mismatch accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
+    EXPECT_NE(std::string(e.what()).find("protocol mismatch"),
+              std::string::npos)
+        << e.what();
   }
 }
 

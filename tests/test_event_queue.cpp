@@ -408,36 +408,5 @@ TEST(EventSerialization, CompactPortSentinelRoundTrips) {
   EXPECT_EQ(compact.size() + 4, legacy.size());
 }
 
-TEST(EventSerialization, LegacyRawPortStillDecodes) {
-  // Version-1 recovery images hold the raw port value; Event::load's legacy
-  // shim must keep accepting them.
-  Event wake = make_event(ticks(5), 9);
-  serial::OutArchive legacy;
-  serial::write(legacy, wake.time);
-  legacy.put_varint(wake.seq);
-  serial::write(legacy, wake.target);
-  legacy.put_varint(static_cast<std::uint64_t>(kNoPort));
-  legacy.put_varint(static_cast<std::uint64_t>(wake.kind));
-  wake.value.save(legacy);
-  serial::write(legacy, wake.source);
-
-  serial::InArchive in(legacy.bytes());
-  const Event restored = Event::load(in, /*legacy_port=*/true);
-  EXPECT_EQ(restored.port, kNoPort);
-  EXPECT_EQ(restored.seq, 9u);
-
-  // And a legacy in-range port decodes as-is, unshifted.
-  serial::OutArchive legacy2;
-  serial::write(legacy2, wake.time);
-  legacy2.put_varint(wake.seq);
-  serial::write(legacy2, wake.target);
-  legacy2.put_varint(7);
-  legacy2.put_varint(static_cast<std::uint64_t>(EventKind::kDeliver));
-  wake.value.save(legacy2);
-  serial::write(legacy2, wake.source);
-  serial::InArchive in2(legacy2.bytes());
-  EXPECT_EQ(Event::load(in2, /*legacy_port=*/true).port, 7u);
-}
-
 }  // namespace
 }  // namespace pia

@@ -365,7 +365,7 @@ chan/ssB/1:ssB<->ssC heartbeats_received 1
 chan/ssB/1:ssB<->ssC input_log 0
 chan/ssB/1:ssB<->ssC input_trimmed 0
 chan/ssB/1:ssB<->ssC link_bytes_received 182
-chan/ssB/1:ssB<->ssC link_bytes_sent 608
+chan/ssB/1:ssB<->ssC link_bytes_sent 607
 chan/ssB/1:ssB<->ssC link_faults_abrupt_closes 0
 chan/ssB/1:ssB<->ssC link_faults_delayed 0
 chan/ssB/1:ssB<->ssC link_faults_dropped 0
@@ -390,7 +390,7 @@ chan/ssC/0:ssB<->ssC granted_out_ticks 9223372036854775807
 chan/ssC/0:ssB<->ssC heartbeats_received 1
 chan/ssC/0:ssB<->ssC input_log 40
 chan/ssC/0:ssB<->ssC input_trimmed 0
-chan/ssC/0:ssB<->ssC link_bytes_received 608
+chan/ssC/0:ssB<->ssC link_bytes_received 607
 chan/ssC/0:ssB<->ssC link_bytes_sent 190
 chan/ssC/0:ssB<->ssC link_faults_abrupt_closes 0
 chan/ssC/0:ssB<->ssC link_faults_delayed 0

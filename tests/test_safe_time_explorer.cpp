@@ -8,9 +8,17 @@
 // to the slice order.  The steps are
 //
 //   * slice(X): one Subsystem::run_slice (drain, advance burst, grant and
-//     status push, requests, exit checks), and
+//     status push, requests, exit checks);
 //   * deliver(l): move the oldest in-flight frame on directed link l to its
-//     receiver, then slice the receiver.
+//     receiver, then slice the receiver;
+//   * snapshot(X): X initiates a Chandy–Lamport snapshot (its marks go in
+//     flight like any frame), at most Model::snapshots of them per path;
+//   * restore(t): every subsystem restores the cut of the t-th snapshot,
+//     enabled once every subsystem holds that complete cut and no frame is
+//     in flight toward a running subsystem (a coordinated restore with no
+//     runner active).  Frames left for finished subsystems are stale and
+//     the restore drains them; a finished run always leaves one, so with
+//     nothing in flight at all no restore would ever be enabled.
 //
 // States are identified by a hash over everything a later step can observe
 // (component images, pending events, every endpoint's protocol fields,
@@ -26,7 +34,8 @@
 //   * no silent deadlock: a state in which no step changes anything has
 //     every subsystem finished (terminated or past its horizon).
 //
-// Rollback steps and snapshot restores are not explored here.
+// Rollbacks happen inside slices on optimistic channels; they are not
+// separate moves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -203,11 +212,22 @@ struct Model {
   std::int64_t a_bias = 0;
   std::int64_t horizon = 40;
   std::size_t depth = 10;
+  /// Snapshots a path may initiate; 0 disables the snapshot and restore
+  /// moves.
+  std::size_t snapshots = 0;
 };
 
 constexpr std::size_t kSubsystems = 3;
 constexpr std::size_t kLinks = 4;  // A->B, B->A, B->C, C->B
 constexpr std::size_t kLinkDst[kLinks] = {1, 0, 2, 1};
+// Actions: slices, then deliveries, then snapshot initiations, then one
+// restore per snapshot the model allows.
+constexpr std::size_t kFirstSnapshot = kSubsystems + kLinks;
+constexpr std::size_t kFirstRestore = kFirstSnapshot + kSubsystems;
+
+std::size_t action_count(const Model& model) {
+  return kFirstRestore + model.snapshots;
+}
 
 class World {
  public:
@@ -287,12 +307,43 @@ class World {
 
   [[nodiscard]] bool enabled(std::size_t action) const {
     if (action < kSubsystems) return !done_[action];
-    const std::size_t link = action - kSubsystems;
-    return !dirs_[link]->in_flight.empty() && !done_[kLinkDst[link]];
+    if (action < kFirstSnapshot) {
+      const std::size_t link = action - kSubsystems;
+      return !dirs_[link]->in_flight.empty() && !done_[kLinkDst[link]];
+    }
+    if (action < kFirstRestore)
+      return tokens_.size() < model_.snapshots &&
+             !done_[action - kFirstSnapshot];
+    const std::size_t t = action - kFirstRestore;
+    if (t >= tokens_.size()) return false;
+    for (std::size_t link = 0; link < kLinks; ++link)
+      if (!dirs_[link]->in_flight.empty() && !done_[kLinkDst[link]])
+        return false;
+    return std::all_of(std::begin(subs_), std::end(subs_), [&](const auto& s) {
+      return s->snapshot_complete(tokens_[t]);
+    });
   }
 
   /// Runs one step; a protocol fault propagates as Error.
   void apply(std::size_t action) {
+    if (action >= kFirstRestore) {
+      // Frames left for finished subsystems arrive stale; the restore must
+      // drain them.  The restored cut is a live timeline for everyone.
+      for (auto& d : dirs_)
+        while (!d->in_flight.empty()) {
+          d->delivered.push_back(std::move(d->in_flight.front()));
+          d->in_flight.pop_front();
+        }
+      for (std::size_t i = 0; i < kSubsystems; ++i) {
+        subs_[i]->restore_snapshot(tokens_[action - kFirstRestore]);
+        done_[i] = false;
+      }
+      return;
+    }
+    if (action >= kFirstSnapshot) {
+      tokens_.push_back(subs_[action - kFirstSnapshot]->initiate_snapshot());
+      return;
+    }
     std::size_t target = action;
     if (action >= kSubsystems) {
       Direction& d = *dirs_[action - kSubsystems];
@@ -391,6 +442,9 @@ class World {
       mix(d->in_flight.size());
       for (const Bytes& frame : d->in_flight) mix_bytes(frame);
     }
+    mix(tokens_.size());
+    for (const std::uint64_t token : tokens_)
+      for (const auto& s : subs_) mix(s->snapshot_complete(token));
     return h;
   }
 
@@ -400,20 +454,26 @@ class World {
   std::unique_ptr<Subsystem> subs_[kSubsystems];
   bool done_[kSubsystems] = {};
   bool sliced_[kSubsystems] = {};
+  std::vector<std::uint64_t> tokens_;  // snapshots initiated, in order
 };
 
 struct Verdict {
   std::size_t states = 0;
+  std::size_t restores = 0;  // restore steps taken
   std::optional<std::string> violation;
   std::vector<std::size_t> path;  // the steps that reach it
 };
 
 std::string describe_path(const std::vector<std::size_t>& path) {
-  static const char* const kNames[] = {"slice(A)",  "slice(B)",  "slice(C)",
-                                       "deliver(A>B)", "deliver(B>A)",
-                                       "deliver(B>C)", "deliver(C>B)"};
+  static const char* const kNames[] = {
+      "slice(A)",     "slice(B)",     "slice(C)",     "deliver(A>B)",
+      "deliver(B>A)", "deliver(B>C)", "deliver(C>B)", "snapshot(A)",
+      "snapshot(B)",  "snapshot(C)"};
   std::string out;
-  for (const std::size_t step : path) out += std::string(kNames[step]) + " ";
+  for (const std::size_t step : path)
+    out += step < kFirstRestore
+               ? std::string(kNames[step]) + " "
+               : "restore(t" + std::to_string(step - kFirstRestore) + ") ";
   return out;
 }
 
@@ -438,7 +498,7 @@ class Explorer {
     if (verdict_.violation || path.size() >= model_.depth) return;
     bool finished = true;
     bool moved = false;
-    for (std::size_t action = 0; action < kSubsystems + kLinks; ++action) {
+    for (std::size_t action = 0; action < action_count(model_); ++action) {
       World world(model_);
       for (const std::size_t step : path) world.apply(step);
       finished = world.finished();
@@ -456,6 +516,7 @@ class Explorer {
         verdict_.path = path;
         return;
       }
+      verdict_.restores += action >= kFirstRestore;
       const std::uint64_t next = world.hash();
       moved |= next != hash;
       // A state met again at a shallower depth is explored again: its
@@ -487,8 +548,9 @@ void expect_safe(const Model& model) {
   EXPECT_FALSE(verdict.violation.has_value())
       << *verdict.violation << "\n  after: " << describe_path(verdict.path);
   EXPECT_GT(verdict.states, 100u);
-  std::printf("explored %zu states to depth %zu\n", verdict.states,
-              model.depth);
+  if (model.snapshots > 0) EXPECT_GT(verdict.restores, 0u);
+  std::printf("explored %zu states to depth %zu, %zu restores\n",
+              verdict.states, model.depth, verdict.restores);
 }
 
 // A send inside an advance burst lowers the barrier through the unseen-send
@@ -532,6 +594,20 @@ TEST(SafeTimeExplorer, DeclaredHorizonsAreSafe) {
                     .ab_mode = ChannelMode::kOptimistic,
                     .declare = true,
                     .depth = 18});
+}
+
+// A coordinated restore as an explicit move: any subsystem may initiate a
+// snapshot anywhere along the path, and every subsystem restores it once
+// the cut is complete everywhere and nothing is in flight toward a running
+// subsystem.  Every check
+// above must hold on the restored timeline too — in particular the need
+// invariant, which breaks if a restore keeps the needs a peer declared on
+// the discarded timeline.
+TEST(SafeTimeExplorer, RestoredCutsAreSafe) {
+  expect_safe(Model{.a_times = {12},
+                    .b_times = {10, 16},
+                    .depth = 18,
+                    .snapshots = 1});
 }
 
 void expect_found(const Model& model) {

@@ -18,7 +18,6 @@
 #include "dist/sync/adaptive.hpp"
 #include "dist/sync/conservative.hpp"
 #include "dist/sync/optimistic.hpp"
-#include "dist/sync/recovery.hpp"
 #include "dist/sync/snapshot.hpp"
 #include "transport/link.hpp"
 
@@ -107,15 +106,6 @@ class StubContext : public EngineContext {
   }
   const PendingSnapshot* find_snapshot(std::uint64_t token) const override {
     return snapshot_->find(token);
-  }
-  std::uint64_t snapshot_next_token() const override {
-    return snapshot_->next_token();
-  }
-  void reset_snapshots(std::uint64_t next_token) override {
-    snapshot_->reset(next_token);
-  }
-  Bytes export_snapshot_image(std::uint64_t /*token*/) const override {
-    return Bytes{};
   }
   bool mode_negotiation_hold() const override { return false; }
   bool mode_change_allowed() const override { return true; }
@@ -712,10 +702,9 @@ TEST(SyncNeed, NeedsResetOnSnapshotRestoreRecoveryAndModeFlip) {
   snap.restore(token);
   expect_needs_reset(ctx);
 
-  RecoveryCoordinator recovery(ctx);
-  const Bytes image = recovery.export_image(token);
+  const Bytes image = snap.export_image(token);
   raise_needs(ctx);
-  recovery.restore_image(image);
+  snap.restore_image(image);
   expect_needs_reset(ctx);
 
   // The acceptor side of a flip to optimistic.

@@ -592,13 +592,11 @@ TEST(ModeWire, ProposalRoundTrip) {
   const ModeProposalMsg in{
       .nonce = (std::uint64_t{7} << 32) | 42,
       .epoch = 3,
-      .target = static_cast<std::uint8_t>(ChannelMode::kOptimistic),
-      .caps = kLocalSyncCaps};
+      .target = static_cast<std::uint8_t>(ChannelMode::kOptimistic)};
   const auto out = std::get<ModeProposalMsg>(decode_message(encode_message(in)));
   EXPECT_EQ(out.nonce, in.nonce);
   EXPECT_EQ(out.epoch, in.epoch);
   EXPECT_EQ(out.target, in.target);
-  EXPECT_EQ(out.caps, in.caps);
 }
 
 TEST(ModeWire, AckCommitResumeRoundTrip) {
@@ -618,20 +616,6 @@ TEST(ModeWire, AckCommitResumeRoundTrip) {
   const auto resume_out =
       std::get<ModeResumeMsg>(decode_message(encode_message(resume)));
   EXPECT_EQ(resume_out.nonce, 9u);
-}
-
-TEST(ModeWire, ProposalWithoutTrailingCapsDecodesAsFixedModePeer) {
-  // The capability word is a trailing varint, mirroring the rejoin
-  // transport-caps pattern: a frame from a build that predates it simply
-  // ends sooner, and must decode as caps=0 (a fixed-mode peer), not throw.
-  Bytes wire = encode_message(ModeProposalMsg{
-      .nonce = 1, .epoch = 0,
-      .target = static_cast<std::uint8_t>(ChannelMode::kConservative),
-      .caps = kLocalSyncCaps});
-  ASSERT_EQ(kLocalSyncCaps, 1u);  // encodes as exactly one trailing byte
-  wire.pop_back();
-  const auto out = std::get<ModeProposalMsg>(decode_message(wire));
-  EXPECT_EQ(out.caps, 0u);
 }
 
 TEST(ModeWire, HandshakeMessagesAreControlMessages) {

@@ -52,6 +52,14 @@ every engine increment in place, so no file under src/dist/sync/ may
 declare another `struct ...Stats`.  A per-engine block would need its own
 copy into the totals, and such copies drift.
 
+One rule covers who owns the durable image: a restore image is the
+serialized Chandy-Lamport cut, so its format lives with the cuts, in the
+SnapshotCoordinator.  Only src/dist/sync/snapshot.cpp may name the
+"pia.dist.recovery" section (outside comments), and src/dist/sync/recovery.*
+may include nothing from serial/: the recovery layer keeps heartbeats and
+the rejoin handshake, and a second writer or reader of the image would let
+the two restore paths drift apart again.
+
 One rule covers how the library sleeps: transport::poll_until is its one
 timed sleep (it sets the thread's timer slack so a wait ends at its
 deadline), so sleep_for, sleep_until, nanosleep and usleep may be called in
@@ -103,6 +111,9 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
 STATS_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Stats)\b")
 
+IMAGE_SECTION = '"pia.dist.recovery"'
+IMAGE_HOME = SRC / "dist" / "sync" / "snapshot.cpp"
+
 SLEEP_RE = re.compile(r"\b(sleep_for|sleep_until|nanosleep|usleep)\s*\(")
 SLEEP_HOME = SRC / "transport" / "ready.cpp"
 
@@ -145,6 +156,27 @@ def check_sleeps(path, errors):
                 f"transport/ready.cpp; sleep through transport::poll_until "
                 f"(an empty fd set sleeps to the deadline)"
             )
+
+
+def check_image_format(path, errors):
+    if path != IMAGE_HOME:
+        for line_number, line in enumerate(
+            path.read_text().splitlines(), start=1
+        ):
+            if IMAGE_SECTION in line.split("//", 1)[0]:
+                errors.append(
+                    f"{path}:{line_number}: names the {IMAGE_SECTION} image "
+                    f"section; only dist/sync/snapshot.cpp reads or writes "
+                    f"the durable image"
+                )
+    if path.parent.name == "sync" and path.name.split(".")[0] == "recovery":
+        for line_number, inc in first_party_includes(path):
+            if inc.startswith("serial/"):
+                errors.append(
+                    f"{path}:{line_number}: the recovery layer holds no "
+                    f'serialization code ("{inc}"); the image belongs to '
+                    f"the SnapshotCoordinator"
+                )
 
 
 def check_stats_structs(path, errors):
@@ -256,6 +288,7 @@ def main():
             checked += 1
             check_directory_dag(path, layer, errors)
             check_sleeps(path, errors)
+            check_image_format(path, errors)
             if path.parent.name == "sync":
                 check_engine(path, errors)
                 check_stats_structs(path, errors)
